@@ -12,11 +12,13 @@
 //
 // Use -scale to shrink or grow the workloads (1.0 reproduces the default
 // experiment size). With -json, every selected section is emitted as one
-// machine-readable JSON object on stdout (the shape BENCH_*.json files
-// track; the CI bench job uploads it as an artifact); -alloc sections
-// carry the engine's aggregate Report including its per-phase PhaseStats
-// breakdown and batch heap counters. -phases additionally samples heap
-// allocations at every phase boundary (engine WithPhaseProfile).
+// machine-readable JSON object (the shape BENCH_*.json files track; the
+// CI bench job uploads it as an artifact) on stdout, or with -o into a
+// file that appears only once the whole document is written; -alloc
+// sections carry the engine's aggregate Report including its per-phase
+// PhaseStats breakdown and batch heap counters. -phases additionally
+// samples heap allocations at every phase boundary (engine
+// WithPhaseProfile).
 //
 // Every -json document is stamped with a `meta` header (schema_version,
 // commit SHA — best-effort `git rev-parse HEAD`, overridable with
@@ -37,6 +39,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -229,6 +232,7 @@ func main() {
 		all         = flag.Bool("all", false, "run everything")
 		scale       = flag.Float64("scale", 1.0, "workload scale multiplier")
 		jsonOut     = flag.Bool("json", false, "emit the selected sections as JSON")
+		outPath     = flag.String("o", "", "with -json, write the document to `file` (temp file + rename; nothing is written on error)")
 		algo        = flag.String("algo", "binpack", "allocator for -alloc reports")
 		jobs        = flag.Int("jobs", 0, "parallel workers for -alloc (0 = all CPUs)")
 		phases      = flag.Bool("phases", false, "sample per-phase heap allocations in -alloc reports")
@@ -354,14 +358,45 @@ func main() {
 	out.Resources = &endRes
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(&out); err != nil {
+		doc, err := json.MarshalIndent(&out, "", "  ")
+		if err != nil {
+			die(err)
+		}
+		doc = append(doc, '\n')
+		if *outPath != "" {
+			err = writeAtomic(*outPath, doc)
+		} else {
+			_, err = os.Stdout.Write(doc)
+		}
+		if err != nil {
 			die(err)
 		}
 		return
 	}
 	printText(&out)
+}
+
+// writeAtomic writes data to path through a temporary file in the same
+// directory and a rename, so path never holds a partial or empty
+// document: on any error it is left as it was.
+func writeAtomic(path string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	if err = f.Chmod(0o644); err == nil {
+		_, err = f.Write(data)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 func printText(out *benchOutput) {

@@ -145,12 +145,19 @@ func (s *Set) Union(t *Set) bool {
 	return changed
 }
 
-// Intersect sets s = s ∩ t.
-func (s *Set) Intersect(t *Set) {
+// Intersect sets s = s ∩ t and reports whether s changed.
+func (s *Set) Intersect(t *Set) bool {
 	s.check(t)
+	changed := false
 	for i, w := range t.words {
-		s.words[i] &= w
+		old := s.words[i]
+		nw := old & w
+		if nw != old {
+			s.words[i] = nw
+			changed = true
+		}
 	}
+	return changed
 }
 
 // Subtract sets s = s − t.

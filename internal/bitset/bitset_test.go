@@ -80,7 +80,12 @@ func TestUnionSubtractIntersect(t *testing.T) {
 		}
 	}
 	x := a.Clone()
-	x.Intersect(b)
+	if !x.Intersect(b) {
+		t.Fatal("Intersect reported no change")
+	}
+	if x.Intersect(b) {
+		t.Fatal("second Intersect reported change")
+	}
 	for i := 0; i < 100; i++ {
 		want := i%6 == 0
 		if x.Contains(i) != want {

@@ -159,6 +159,10 @@ func NewClient(cfg ClientConfig) *Client {
 		c.refreshC = make(chan struct{}, 1)
 		c.stopC = make(chan struct{})
 		c.pollerDone = make(chan struct{})
+		// Prime synchronously: a client created while nodes are joining
+		// starts from the true table, not one a full interval stale, and
+		// its first request never races the priming fetch.
+		c.refreshTopology()
 		go c.pollTopology()
 	}
 	return c
@@ -182,9 +186,6 @@ func (c *Client) Close() {
 // moment routing goes visibly stale.
 func (c *Client) pollTopology() {
 	defer close(c.pollerDone)
-	// Prime immediately: a client created while nodes are joining should
-	// not wait a full interval for its first true table.
-	c.refreshTopology()
 	t := time.NewTicker(c.cfg.TopologyInterval)
 	defer t.Stop()
 	for {

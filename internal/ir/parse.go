@@ -157,9 +157,10 @@ func (p *parser) proc(head string) (*Proc, error) {
 	}
 	name := strings.TrimSpace(head[len("func "):open])
 	st := &procState{
-		proc:   NewProc(name),
-		temps:  map[string]Temp{},
-		blocks: map[string]*Block{},
+		proc:    NewProc(name),
+		temps:   map[string]Temp{},
+		blocks:  map[string]*Block{},
+		maxSlot: -1, // no slot operand: NumSlots stays 0, as the generator and irbin keep it
 	}
 	// Parameters: "x int, f float".
 	params := strings.TrimSpace(head[open+1 : closeP])

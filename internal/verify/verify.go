@@ -35,48 +35,85 @@ package verify
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/ir"
+	"repro/internal/scratch"
 	"repro/internal/target"
 )
 
-// loc is a machine location: a register or a spill slot.
-type loc struct {
-	isSlot bool
-	reg    target.Reg
-	slot   int64
-}
-
-func regLoc(r target.Reg) loc { return loc{reg: r} }
-func slotLoc(s int64) loc     { return loc{isSlot: true, slot: s} }
-func (l loc) String() string {
-	if l.isSlot {
-		return fmt.Sprintf("slot%d", l.slot)
-	}
-	return fmt.Sprintf("R%d", l.reg)
-}
-
-// value is the temporary whose current (original-program) value a
-// location holds; noValue means unknown.
+// noValue marks a location whose content is unknown.
 const noValue ir.Temp = -2
 
-type state map[loc]ir.Temp
+// verifier is the scratch of one Verify call, pooled across calls.
+//
+// The symbolic state — which temporary's value each machine location
+// holds — is a dense vector of width entries: registers first (index
+// r-regLo; regLo is 0 unless a hand-built procedure names a negative
+// register), then spill slots offset from the procedure's smallest slot
+// operand, so every slot an operand names is representable, including
+// slots at or beyond NumSlots. Slot numbers spread far wider than the
+// procedure has slot operands (only hand-written input does that) are
+// instead ranked among the distinct numbers named, so the state never
+// outgrows the procedure. All block in-states live in one slab.
+type verifier struct {
+	p      *ir.Proc
+	regLo  int
+	nregs  int
+	slotLo int64
+	sparse bool    // slots are ranked in slots, not offset from slotLo
+	slots  []int64 // sorted distinct slot numbers when sparse
+	width  int
 
-func (s state) clone() state {
-	c := make(state, len(s))
-	for k, v := range s {
-		c[k] = v
+	in      []ir.Temp // block b's in-state is in[b*width : (b+1)*width]
+	reached []bool    // b's in-state is set (b is reachable)
+	queued  []bool
+	work    []int
+	succOff []int // b's successors are succ[succOff[b]:succOff[b+1]]
+	succ    []int
+	st      []ir.Temp // the state being transferred
+	clobber []int     // state indices of the caller-saved registers
+
+	gen, mustIn   bitset.Slab
+	must, mustOut bitset.Set
+}
+
+var pool = sync.Pool{New: func() any { return new(verifier) }}
+
+func (v *verifier) row(b int) []ir.Temp { return v.in[b*v.width : (b+1)*v.width] }
+
+func (v *verifier) succs(b int) []int { return v.succ[v.succOff[b]:v.succOff[b+1]] }
+
+// locOf returns the state index of a register or slot operand.
+func (v *verifier) locOf(o ir.Operand) (int, bool) {
+	switch o.Kind {
+	case ir.KindReg:
+		return int(o.Reg) - v.regLo, true
+	case ir.KindSlot:
+		if v.sparse {
+			i, _ := slices.BinarySearch(v.slots, o.Imm)
+			return v.nregs + i, true
+		}
+		return v.nregs + int(o.Imm-v.slotLo), true
 	}
-	return c
+	return 0, false
+}
+
+func locName(o ir.Operand) string {
+	if o.Kind == ir.KindSlot {
+		return fmt.Sprintf("slot%d", o.Imm)
+	}
+	return fmt.Sprintf("R%d", o.Reg)
 }
 
 // meet intersects other into s and reports change.
-func (s state) meet(other state) bool {
+func meet(s, other []ir.Temp) bool {
 	changed := false
-	for k, v := range s {
-		if ov, ok := other[k]; !ok || ov != v {
-			delete(s, k)
+	for i, x := range s {
+		if x != noValue && x != other[i] {
+			s[i] = noValue
 			changed = true
 		}
 	}
@@ -89,86 +126,178 @@ func Verify(p *ir.Proc, mach *target.Machine) error {
 	if len(p.Blocks) == 0 {
 		return fmt.Errorf("verify: %s: empty procedure", p.Name)
 	}
+	v := pool.Get().(*verifier)
+	err := v.run(p, mach)
+	v.p = nil
+	pool.Put(v)
+	return err
+}
+
+func (v *verifier) run(p *ir.Proc, mach *target.Machine) error {
+	v.p = p
+	v.layout(mach)
+	v.indexSuccs()
+	n := len(p.Blocks)
 
 	// Entry state: each temporary's home slot holds its (initial zero)
 	// value; everything else is unknown. Slot ownership is recovered
 	// from the slot operands themselves.
-	entry := make(state)
+	v.in = scratch.Grow(v.in, n*v.width)
+	entry := v.row(0)
+	for i := range entry {
+		entry[i] = noValue
+	}
 	for _, b := range p.Blocks {
 		for i := range b.Instrs {
-			for _, o := range append(b.Instrs[i].Uses, b.Instrs[i].Defs...) {
-				if o.Kind == ir.KindSlot && o.Temp != ir.NoTemp {
-					entry[slotLoc(o.Imm)] = o.Temp
-				}
-			}
+			v.seedEntry(entry, b.Instrs[i].Uses)
+			v.seedEntry(entry, b.Instrs[i].Defs)
 		}
 	}
 
-	// Fixpoint of in-states (decreasing lattice). Blocks are indexed
-	// locally so the verifier works on procedures that were never
-	// Renumber()ed (e.g. hand-built tests).
-	index := make(map[*ir.Block]int, len(p.Blocks))
-	for i, b := range p.Blocks {
-		index[b] = i
-	}
-	in := make([]state, len(p.Blocks))
-	in[index[p.Entry()]] = entry
-	work := []*ir.Block{p.Entry()}
-	queued := make([]bool, len(p.Blocks))
-	queued[index[p.Entry()]] = true
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		queued[index[b]] = false
-		out := in[index[b]].clone()
-		transferBlock(p, mach, b, out, nil, nil)
-		for _, s := range b.Succs {
-			if in[index[s]] == nil {
-				in[index[s]] = out.clone()
-			} else if !in[index[s]].meet(out) {
+	// Fixpoint of in-states (decreasing lattice).
+	v.reached = scratch.Grow(v.reached, n)
+	v.queued = scratch.Grow(v.queued, n)
+	clear(v.reached)
+	clear(v.queued)
+	v.reached[0] = true
+	v.queued[0] = true
+	v.work = append(v.work[:0], 0)
+	v.st = scratch.Grow(v.st, v.width)
+	st := v.st
+	for len(v.work) > 0 {
+		b := v.work[len(v.work)-1]
+		v.work = v.work[:len(v.work)-1]
+		v.queued[b] = false
+		copy(st, v.row(b))
+		v.transfer(p.Blocks[b], st, nil)
+		for _, s := range v.succs(b) {
+			if !v.reached[s] {
+				v.reached[s] = true
+				copy(v.row(s), st)
+			} else if !meet(v.row(s), st) {
 				continue
 			}
-			if !queued[index[s]] {
-				queued[index[s]] = true
-				work = append(work, s)
+			if !v.queued[s] {
+				v.queued[s] = true
+				v.work = append(v.work, s)
 			}
 		}
 	}
 
-	mustIn := mustDefined(p, index)
+	v.mustDefined()
 
 	// Final pass with checks enabled.
-	for _, b := range p.Blocks {
-		if in[index[b]] == nil {
+	v.must.Reset(p.NumTemps())
+	for i, b := range p.Blocks {
+		if !v.reached[i] {
 			continue // unreachable
 		}
-		st := in[index[b]].clone()
-		must := mustIn[index[b]].Clone()
-		var err error
-		transferBlock(p, mach, b, st, must, func(e error) {
-			if err == nil {
-				err = e
-			}
-		})
-		if err != nil {
+		copy(st, v.row(i))
+		v.must.Copy(v.mustIn.Set(i))
+		if err := v.transfer(b, st, &v.must); err != nil {
 			return fmt.Errorf("verify: %s: block %s: %w", p.Name, b.Name, err)
 		}
 	}
 	return nil
 }
 
+// layout sizes the state vector from the machine and the register and
+// slot operands of the procedure, and lists the caller-saved registers.
+func (v *verifier) layout(mach *target.Machine) {
+	regLo, regHi := 0, mach.NumRegs()
+	v.slots = v.slots[:0]
+	span := func(ops []ir.Operand) {
+		for _, o := range ops {
+			switch o.Kind {
+			case ir.KindReg:
+				regLo = min(regLo, int(o.Reg))
+				regHi = max(regHi, int(o.Reg)+1)
+			case ir.KindSlot:
+				v.slots = append(v.slots, o.Imm)
+			}
+		}
+	}
+	for _, b := range v.p.Blocks {
+		for i := range b.Instrs {
+			span(b.Instrs[i].Uses)
+			span(b.Instrs[i].Defs)
+		}
+	}
+	v.regLo, v.nregs = regLo, regHi-regLo
+	v.width = v.nregs
+	v.sparse = false
+	if len(v.slots) > 0 {
+		lo, hi := slices.Min(v.slots), slices.Max(v.slots)
+		v.slotLo = lo
+		// Unsigned, so no pair of int64 slot numbers overflows.
+		v.sparse = uint64(hi)-uint64(lo) >= uint64(2*len(v.slots)+64)
+		if v.sparse {
+			slices.Sort(v.slots)
+			v.slots = slices.Compact(v.slots)
+			v.width += len(v.slots)
+		} else {
+			v.width += int(hi-lo) + 1
+		}
+	}
+	v.clobber = v.clobber[:0]
+	for r := 0; r < mach.NumRegs(); r++ {
+		if mach.CallerSaved(target.Reg(r)) {
+			v.clobber = append(v.clobber, r-regLo)
+		}
+	}
+}
+
+func (v *verifier) seedEntry(entry []ir.Temp, ops []ir.Operand) {
+	for _, o := range ops {
+		if o.Kind == ir.KindSlot && o.Temp != ir.NoTemp {
+			l, _ := v.locOf(o)
+			entry[l] = o.Temp
+		}
+	}
+}
+
+// indexSuccs flattens the CFG into block indices. Blocks are indexed by
+// their position in p.Blocks so the verifier works on procedures that
+// were never Renumber()ed (e.g. hand-built tests): a successor's Order
+// is only a hint, confirmed by identity, with a map built when it fails.
+func (v *verifier) indexSuccs() {
+	blocks := v.p.Blocks
+	n := len(blocks)
+	var index map[*ir.Block]int
+	v.succOff = scratch.Grow(v.succOff, n+1)
+	v.succ = v.succ[:0]
+	for i, b := range blocks {
+		v.succOff[i] = len(v.succ)
+		for _, s := range b.Succs {
+			k := s.Order
+			if k < 0 || k >= n || blocks[k] != s {
+				if index == nil {
+					index = make(map[*ir.Block]int, n)
+					for j, c := range blocks {
+						index[c] = j
+					}
+				}
+				k = index[s]
+			}
+			v.succ = append(v.succ, k)
+		}
+	}
+	v.succOff[n] = len(v.succ)
+}
+
 // mustDefined computes, per block, the set of temporaries defined along
 // every path from entry to the block's top (a forward intersection
-// dataflow over OrigDefs). Uses of temporaries outside this set read the
-// VM's zero-initialized temp file in the original program and are exempt
-// from location checking; see the package comment.
-func mustDefined(p *ir.Proc, index map[*ir.Block]int) []*bitset.Set {
-	nt := p.NumTemps()
-	nb := len(p.Blocks)
-	gen := make([]*bitset.Set, nb)
-	mustIn := make([]*bitset.Set, nb)
-	for i, b := range p.Blocks {
-		g := bitset.New(nt)
+// dataflow over OrigDefs) into v.mustIn. Uses of temporaries outside
+// this set read the VM's zero-initialized temp file in the original
+// program and are exempt from location checking; see the package
+// comment.
+func (v *verifier) mustDefined() {
+	nt := v.p.NumTemps()
+	nb := len(v.p.Blocks)
+	v.gen.Reset(nb, nt)
+	v.mustIn.Reset(nb, nt)
+	for i, b := range v.p.Blocks {
+		g := v.gen.Set(i)
 		for j := range b.Instrs {
 			for _, t := range b.Instrs[j].OrigDefs {
 				if t != ir.NoTemp {
@@ -176,75 +305,51 @@ func mustDefined(p *ir.Proc, index map[*ir.Block]int) []*bitset.Set {
 				}
 			}
 		}
-		gen[i] = g
-		mustIn[i] = bitset.New(nt)
-		if b != p.Entry() {
-			mustIn[i].Fill() // lattice top; entry starts empty
+		if i != 0 {
+			v.mustIn.Set(i).Fill() // lattice top; entry starts empty
 		}
 	}
-	work := []*ir.Block{p.Entry()}
-	queued := make([]bool, nb)
-	queued[index[p.Entry()]] = true
-	out := bitset.New(nt)
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		bi := index[b]
-		queued[bi] = false
-		out.Copy(mustIn[bi])
-		out.Union(gen[bi])
-		for _, s := range b.Succs {
-			si := index[s]
-			before := mustIn[si].Count()
-			mustIn[si].Intersect(out)
-			if mustIn[si].Count() != before && !queued[si] {
-				queued[si] = true
-				work = append(work, s)
+	v.work = append(v.work[:0], 0)
+	v.queued[0] = true
+	out := &v.mustOut
+	out.Reset(nt)
+	for len(v.work) > 0 {
+		b := v.work[len(v.work)-1]
+		v.work = v.work[:len(v.work)-1]
+		v.queued[b] = false
+		out.Copy(v.mustIn.Set(b))
+		out.Union(v.gen.Set(b))
+		for _, s := range v.succs(b) {
+			if v.mustIn.Set(s).Intersect(out) && !v.queued[s] {
+				v.queued[s] = true
+				v.work = append(v.work, s)
 			}
 		}
 	}
-	return mustIn
 }
 
-// transferBlock interprets one block symbolically, mutating st. When
-// check is non-nil, use sites are validated; must then carries the
-// must-defined set at the block's top and is updated as defs execute, so
-// uses of maybe-undefined temporaries (zero in the VM's temp file) can
-// be exempted.
-func transferBlock(p *ir.Proc, mach *target.Machine, b *ir.Block, st state, must *bitset.Set, check func(error)) {
-	invalidate := func(t ir.Temp) {
-		for k, v := range st {
-			if v == t {
-				delete(st, k)
-			}
-		}
-	}
-	locOf := func(o ir.Operand) (loc, bool) {
-		switch o.Kind {
-		case ir.KindReg:
-			return regLoc(o.Reg), true
-		case ir.KindSlot:
-			return slotLoc(o.Imm), true
-		}
-		return loc{}, false
-	}
-
+// transfer interprets one block symbolically, mutating st. When must is
+// non-nil, use sites are validated and the first violation is returned;
+// must then carries the must-defined set at the block's top and is
+// updated as defs execute, so uses of maybe-undefined temporaries (zero
+// in the VM's temp file) can be exempted.
+func (v *verifier) transfer(b *ir.Block, st []ir.Temp, must *bitset.Set) error {
+	p := v.p
 	for i := range b.Instrs {
 		instr := &b.Instrs[i]
 
 		// Check original uses.
-		if check != nil && instr.OrigUses != nil {
+		if must != nil && instr.OrigUses != nil {
 			for ui, t := range instr.OrigUses {
 				if t == ir.NoTemp {
 					continue
 				}
-				l, ok := locOf(instr.Uses[ui])
+				l, ok := v.locOf(instr.Uses[ui])
 				if !ok {
-					check(fmt.Errorf("%v: use %d of %s not in a location", instr.Op, ui, p.TempName(t)))
-					continue
+					return fmt.Errorf("%v: use %d of %s not in a location", instr.Op, ui, p.TempName(t))
 				}
-				if v, ok := st[l]; !ok || v != t {
-					if !ok && must != nil && !must.Contains(int(t)) {
+				if held := st[l]; held != t {
+					if held == noValue && !must.Contains(int(t)) {
 						// Maybe-undefined and the location's content is
 						// unknown (the paths disagree about it): the
 						// original program reads the zero-initialized
@@ -257,11 +362,11 @@ func transferBlock(p *ir.Proc, mach *target.Machine, b *ir.Block, st state, must
 						continue
 					}
 					have := "unknown"
-					if ok {
-						have = p.TempName(v)
+					if held != noValue {
+						have = p.TempName(held)
 					}
-					check(fmt.Errorf("%v at pos %d: use of %s reads %v which holds %s",
-						instr.Op, instr.Pos, p.TempName(t), l, have))
+					return fmt.Errorf("%v at pos %d: use of %s reads %s which holds %s",
+						instr.Op, instr.Pos, p.TempName(t), locName(instr.Uses[ui]), have)
 				}
 			}
 		}
@@ -279,10 +384,8 @@ func transferBlock(p *ir.Proc, mach *target.Machine, b *ir.Block, st state, must
 			// Caller-saved registers die. (Return registers too: the
 			// value they carry afterwards belongs to the callee and is
 			// claimed by the convention move's original def.)
-			for k := range st {
-				if !k.isSlot && mach.CallerSaved(k.reg) {
-					delete(st, k)
-				}
+			for _, r := range v.clobber {
+				st[r] = noValue
 			}
 		case (instr.Op == ir.SpillLd || instr.Op == ir.SpillSt) && !spillIsOriginal,
 			instr.Op.IsMove() && instr.OrigDefs == nil:
@@ -295,28 +398,27 @@ func transferBlock(p *ir.Proc, mach *target.Machine, b *ir.Block, st state, must
 			} else {
 				src, dst = instr.Uses[0], instr.Defs[0]
 			}
-			sl, sok := locOf(src)
-			dl, dok := locOf(dst)
-			if !dok {
+			dl, ok := v.locOf(dst)
+			if !ok {
 				break
 			}
-			if v, ok := st[sl]; sok && ok {
-				st[dl] = v
+			if sl, ok := v.locOf(src); ok {
+				st[dl] = st[sl]
 			} else {
-				delete(st, dl)
+				st[dl] = noValue
 			}
 		case instr.Op == ir.SpillSt && spillIsOriginal:
 			// An original store of a fresh spill temporary: the slot
 			// now holds that temporary's value (its use was checked
 			// above).
-			if l, ok := locOf(instr.Uses[1]); ok {
+			if l, ok := v.locOf(instr.Uses[1]); ok {
 				st[l] = instr.OrigUses[0]
 			}
 		default:
 			// Original computation (or a rewritten original move):
 			// original defs produce fresh values of their temporaries.
 			for di := range instr.Defs {
-				l, ok := locOf(instr.Defs[di])
+				l, ok := v.locOf(instr.Defs[di])
 				var t ir.Temp = ir.NoTemp
 				if instr.OrigDefs != nil {
 					t = instr.OrigDefs[di]
@@ -325,19 +427,21 @@ func transferBlock(p *ir.Proc, mach *target.Machine, b *ir.Block, st state, must
 					// A write to machine state not tied to a temp. A
 					// move still forwards its source's value.
 					if ok {
+						held := noValue
 						if instr.Op.IsMove() {
-							if sl, sok := locOf(instr.Uses[0]); sok {
-								if v, has := st[sl]; has {
-									st[l] = v
-									continue
-								}
+							if sl, sok := v.locOf(instr.Uses[0]); sok {
+								held = st[sl]
 							}
 						}
-						delete(st, l)
+						st[l] = held
 					}
 					continue
 				}
-				invalidate(t)
+				for k, x := range st {
+					if x == t {
+						st[k] = noValue
+					}
+				}
 				if ok {
 					st[l] = t
 				}
@@ -352,4 +456,5 @@ func transferBlock(p *ir.Proc, mach *target.Machine, b *ir.Block, st state, must
 			}
 		}
 	}
+	return nil
 }
