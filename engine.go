@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/core"
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/opt"
 	"repro/internal/verify"
@@ -36,8 +37,16 @@ type Engine struct {
 	cache         ResultCache
 
 	factory alloc.Factory
-	pool    sync.Pool // of Allocator instances, one per concurrent worker
+	pool    sync.Pool // of *worker, one per concurrent worker
 	obsMu   sync.Mutex
+}
+
+// worker is one pooled pipeline instance: an allocator together with
+// the liveness and optimization-pass storage its procedures run through.
+type worker struct {
+	a   Allocator
+	df  dataflow.Scratch
+	opt opt.Scratch
 }
 
 // Option configures an Engine at construction time.
@@ -247,7 +256,7 @@ func New(mach *Machine, opts ...Option) (*Engine, error) {
 				pp.SetPhaseProfile(true)
 			}
 		}
-		return a
+		return &worker{a: a}
 	}
 	return e, nil
 }
@@ -267,28 +276,33 @@ func (e *Engine) AllocateProc(p *Proc) (*Result, error) {
 	tm := alloc.NewTimer(e.profilePhases)
 	var engineStats Stats // phases the engine itself accounts for
 
-	a := e.pool.Get().(Allocator)
+	w := e.pool.Get().(*worker)
+	defer e.pool.Put(w)
 	var res *Result
 	var err error
-	if oa, ok := a.(alloc.OwnedAllocator); ok {
+	if oa, ok := w.a.(alloc.OwnedAllocator); ok {
+		// One liveness solve per procedure: DCE's last round is exact
+		// for the code it leaves, and the allocator consumes it.
 		in := p.Clone()
 		tm.Mark(&engineStats, alloc.PhaseOther)
+		var lv *dataflow.Liveness
 		if e.dce {
-			opt.DeadCodeElim(in)
-			tm.Mark(&engineStats, alloc.PhaseOpt)
+			lv, _ = w.opt.DeadCodeElim(in, &w.df, &tm, &engineStats)
+		} else {
+			in.Renumber()
+			lv = w.df.Compute(in)
+			tm.Mark(&engineStats, alloc.PhaseDataflow)
 		}
-		res, err = oa.AllocateOwned(in)
+		res, err = oa.AllocateOwned(in, lv)
 	} else {
 		in := p
 		if e.dce {
 			in = p.Clone()
 			tm.Mark(&engineStats, alloc.PhaseOther)
-			opt.DeadCodeElim(in)
-			tm.Mark(&engineStats, alloc.PhaseOpt)
+			w.opt.DeadCodeElim(in, &w.df, &tm, &engineStats)
 		}
-		res, err = a.Allocate(in)
+		res, err = w.a.Allocate(in)
 	}
-	e.pool.Put(a)
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +321,7 @@ func (e *Engine) AllocateProc(p *Proc) (*Result, error) {
 		tm.Mark(&engineStats, alloc.PhaseVerify)
 	}
 	if e.forwardStores {
-		opt.ForwardStores(res.Proc, e.mach)
+		w.opt.ForwardStores(res.Proc, e.mach)
 	}
 	if e.peephole {
 		opt.Peephole(res.Proc)

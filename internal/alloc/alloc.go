@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/scratch"
 	"repro/internal/target"
@@ -25,8 +26,38 @@ type Allocator interface {
 // (p must not be used afterwards) and skips the defensive clone that
 // Allocate performs. The engine uses it so a procedure is cloned exactly
 // once per pipeline run instead of once per pass.
+//
+// The caller also supplies liveness, so each procedure is analyzed once
+// (the paper's liveness is "common to both allocators", §3.2): p must
+// be Renumber()ed and lv must be its liveness in that numbering, as
+// returned by dataflow.Scratch.Compute or opt.Scratch.DeadCodeElim.
+// The allocator reads lv but must not retain it past the call.
 type OwnedAllocator interface {
-	AllocateOwned(p *ir.Proc) (*Result, error)
+	AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*Result, error)
+}
+
+// AllocateClone is the Allocate of an OwnedAllocator: it clones orig,
+// computes the clone's liveness into df (fresh storage when df is nil),
+// and hands both to AllocateOwned. The renumbering and the liveness
+// solve are charged to the result's phases, with heap-allocation deltas
+// when sampleAllocs is set.
+func AllocateClone(a OwnedAllocator, orig *ir.Proc, df *dataflow.Scratch, sampleAllocs bool) (*Result, error) {
+	if df == nil {
+		df = new(dataflow.Scratch)
+	}
+	p := orig.Clone()
+	var pre Stats
+	tm := NewTimer(sampleAllocs)
+	p.Renumber()
+	tm.Mark(&pre, PhaseOther)
+	lv := df.Compute(p)
+	tm.Mark(&pre, PhaseDataflow)
+	res, err := a.AllocateOwned(p, lv)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.Phases.Add(pre.Phases)
+	return res, nil
 }
 
 // PhaseProfiler is implemented by allocators that can annotate their

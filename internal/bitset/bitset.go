@@ -145,6 +145,25 @@ func (s *Set) Union(t *Set) bool {
 	return changed
 }
 
+// UnionDiff sets s = s ∪ (t − u) and reports whether s changed. It is
+// the transfer function of a backward union problem applied in place:
+// In(b) grows by Out(b) − Kill(b) without a temporary copy.
+func (s *Set) UnionDiff(t, u *Set) bool {
+	s.check(t)
+	s.check(u)
+	sw, uw := s.words[:len(t.words)], u.words[:len(t.words)]
+	changed := false
+	for i, w := range t.words {
+		old := sw[i]
+		nw := old | w&^uw[i]
+		if nw != old {
+			sw[i] = nw
+			changed = true
+		}
+	}
+	return changed
+}
+
 // Intersect sets s = s ∩ t and reports whether s changed.
 func (s *Set) Intersect(t *Set) bool {
 	s.check(t)

@@ -401,3 +401,57 @@ func TestMatrixSymmetryQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUnionDiffAgainstModel checks s ∪= t − u against the copy,
+// subtract and union it replaces, including the change report, over
+// universes that end mid-word as well as on a word boundary.
+func TestUnionDiffAgainstModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 63, 64, 65, 100, 128, 191, 200} {
+		randSet := func() *Set {
+			s := New(n)
+			for i := 0; i < n/2; i++ {
+				s.Add(rng.Intn(n))
+			}
+			return s
+		}
+		for iter := 0; iter < 100; iter++ {
+			s, tt, u := randSet(), randSet(), randSet()
+			want := tt.Clone()
+			want.Subtract(u)
+			want.Union(s)
+			got := s.Clone()
+			changed := got.UnionDiff(tt, u)
+			if !got.Equal(want) {
+				t.Fatalf("n=%d: %v ∪ (%v − %v) = %v, want %v", n, s, tt, u, got, want)
+			}
+			if changed != !want.Equal(s) {
+				t.Fatalf("n=%d: UnionDiff reported changed=%v, set went %v → %v", n, changed, s, got)
+			}
+			if got.UnionDiff(tt, u) {
+				t.Fatalf("n=%d: repeated UnionDiff reported a change", n)
+			}
+		}
+	}
+}
+
+func TestUnionDiffEdgeCases(t *testing.T) {
+	s, tt, u := New(70), New(70), New(70)
+	tt.Add(69)
+	tt.Add(3)
+	u.Add(3)
+	if !s.UnionDiff(tt, u) || !s.Contains(69) || s.Contains(3) {
+		t.Fatalf("got %v, want {69}", s)
+	}
+	// A member of s stays even when u holds it: only t's bits are masked.
+	s.Add(3)
+	if s.UnionDiff(tt, u) || !s.Contains(3) {
+		t.Fatalf("got %v, want {3 69} unchanged", s)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("size mismatch did not panic")
+		}
+	}()
+	s.UnionDiff(tt, New(64))
+}

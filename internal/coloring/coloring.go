@@ -52,25 +52,25 @@ func init() {
 // Name identifies the allocator in reports.
 func (a *Allocator) Name() string { return "graph coloring (George-Appel)" }
 
-var _ alloc.Allocator = (*Allocator)(nil)
+var (
+	_ alloc.Allocator      = (*Allocator)(nil)
+	_ alloc.OwnedAllocator = (*Allocator)(nil)
+)
 
 // Allocate clones p, colors both register files, rewrites the clone and
 // returns it with statistics.
 func (a *Allocator) Allocate(orig *ir.Proc) (*alloc.Result, error) {
-	return a.AllocateOwned(orig.Clone())
+	return alloc.AllocateClone(a, orig, nil, a.profileAllocs)
 }
 
 // AllocateOwned colors a procedure the caller owns: p is rewritten in
-// place and must not be used afterwards.
-func (a *Allocator) AllocateOwned(p *ir.Proc) (*alloc.Result, error) {
+// place and must not be used afterwards. lv is the caller's liveness of
+// p (see alloc.OwnedAllocator).
+func (a *Allocator) AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*alloc.Result, error) {
 	res := &alloc.Result{Proc: p}
 	tm := alloc.NewTimer(a.profileAllocs)
-	p.Renumber()
-	tm.Mark(&res.Stats, alloc.PhaseOther)
 	cfg.ComputeLoopDepths(p)
 	tm.Mark(&res.Stats, alloc.PhaseCFG)
-	lv := dataflow.Compute(p)
-	tm.Mark(&res.Stats, alloc.PhaseDataflow)
 
 	start := time.Now()
 	res.Stats.Candidates = p.NumTemps()

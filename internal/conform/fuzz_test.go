@@ -5,38 +5,10 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/progs"
-	"repro/internal/target"
 )
-
-// fuzzMachines is the machine axis the differential fuzzer cycles
-// through: every named preset plus two tiny spill-forcers.
-var fuzzMachines = []string{"alpha", "x86-8", "risc-16", "wide-64", "int-heavy", "tiny", "tiny:4,3"}
 
 // fuzzAllocators are the four built-ins, checked on every input.
 var fuzzAllocators = []string{"binpack", "twopass", "coloring", "linearscan"}
-
-// fuzzGen decodes the raw fuzz arguments into a bounded GenConfig and
-// machine, the shared recipe of FuzzDifferentialAlloc and its plain-test
-// harness.
-func fuzzGen(seed int64, machSel, intTemps, floatTemps, stmts, depth uint8, calls, memory, helper bool) (*target.Machine, progs.GenConfig) {
-	mach, err := target.Parse(fuzzMachines[int(machSel)%len(fuzzMachines)])
-	if err != nil {
-		// fuzzMachines is a fixed list; an unresolvable entry is a bug in
-		// this file, not an interesting fuzz input.
-		panic(err)
-	}
-	cfg := progs.GenConfig{
-		Seed:       seed,
-		IntTemps:   2 + int(intTemps%27),
-		FloatTemps: int(floatTemps % 13),
-		Stmts:      1 + int(stmts)%120,
-		MaxDepth:   int(depth) % 4,
-		Calls:      calls,
-		Memory:     memory,
-		Helper:     helper,
-	}
-	return mach, cfg
-}
 
 // FuzzDifferentialAlloc decodes arbitrary bytes into a generator
 // configuration and machine, builds the program, and conformance-checks
@@ -49,7 +21,7 @@ func FuzzDifferentialAlloc(f *testing.F) {
 	f.Add(int64(42), uint8(1), uint8(26), uint8(12), uint8(119), uint8(3), true, true, false)
 	f.Add(int64(-3), uint8(4), uint8(3), uint8(11), uint8(17), uint8(1), true, false, true)
 	f.Fuzz(func(t *testing.T, seed int64, machSel, intTemps, floatTemps, stmts, depth uint8, calls, memory, helper bool) {
-		mach, cfg := fuzzGen(seed, machSel, intTemps, floatTemps, stmts, depth, calls, memory, helper)
+		mach, cfg := progs.FuzzGen(seed, machSel, intTemps, floatTemps, stmts, depth, calls, memory, helper)
 		prog := progs.Random(mach, cfg)
 		if err := ir.ValidateProgram(prog, mach); err != nil {
 			t.Fatalf("generator emitted an invalid program on %s: %v", mach.Name, err)

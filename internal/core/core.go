@@ -131,27 +131,24 @@ func (a *Allocator) SetPhaseProfile(on bool) { a.opts.ProfileAllocs = on }
 // Allocate clones p, allocates registers, rewrites the clone, and returns
 // it with statistics. The input procedure is not modified.
 func (a *Allocator) Allocate(orig *ir.Proc) (*alloc.Result, error) {
-	return a.AllocateOwned(orig.Clone())
+	return alloc.AllocateClone(a, orig, &a.df, a.opts.ProfileAllocs)
 }
 
 // AllocateOwned allocates registers for a procedure the caller owns: p
-// is rewritten in place (and must not be used afterwards). The engine
-// uses this path so each procedure is cloned exactly once per pipeline
-// run.
-func (a *Allocator) AllocateOwned(p *ir.Proc) (*alloc.Result, error) {
+// is rewritten in place (and must not be used afterwards), reading the
+// caller's liveness lv of p (see alloc.OwnedAllocator). The engine uses
+// this path so each procedure is cloned and analyzed exactly once per
+// pipeline run.
+func (a *Allocator) AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*alloc.Result, error) {
 	res := &alloc.Result{Proc: p}
 	st := &res.Stats
 	tm := alloc.NewTimer(a.opts.ProfileAllocs)
 
-	p.Renumber()
-	tm.Mark(st, alloc.PhaseOther)
 	// Shared setup (the paper excludes this from allocation timing:
 	// CFG construction, loop analysis and liveness are common to both
 	// allocators, §3.2).
 	cfg.ComputeLoopDepths(p)
 	tm.Mark(st, alloc.PhaseCFG)
-	lv := a.df.Compute(p)
-	tm.Mark(st, alloc.PhaseDataflow)
 
 	start := time.Now()
 	lt := a.ltsc.Compute(p, lv)

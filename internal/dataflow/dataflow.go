@@ -33,7 +33,6 @@ type SolverScratch struct {
 	out    []*bitset.Set
 	work   []*ir.Block
 	inWork []bool
-	tmp    bitset.Set
 }
 
 // Solve solves the classic backward union problem
@@ -42,9 +41,14 @@ type SolverScratch struct {
 //	In(b)  = Gen(b) ∪ (Out(b) − Kill(b))
 //
 // over the given blocks with a worklist, and returns In and Out indexed
-// by Block.Order. gen and kill may be nil to mean the empty set. The
-// universe size is n. Both liveness and the paper's USED_CONSISTENCY
+// by Block.Order. gen and kill may be nil to mean the empty set, and
+// must return the same set for a block on every call. The universe size
+// is n. Both liveness and the paper's USED_CONSISTENCY
 // consistency-repair analysis (§2.4) are instances of this problem.
+//
+// In(b) starts at Gen(b) and Out(b) only grows, so In(b) only grows too:
+// a visit adds Out(b) − Kill(b) to In(b) in place, and a block whose
+// successors added nothing to Out(b) is skipped outright.
 func (sc *SolverScratch) Solve(blocks []*ir.Block, n int, gen, kill func(*ir.Block) *bitset.Set) (in, out []*bitset.Set) {
 	nb := len(blocks)
 	sc.slab.Reset(2*nb, n)
@@ -73,31 +77,32 @@ func (sc *SolverScratch) Solve(blocks []*ir.Block, n int, gen, kill func(*ir.Blo
 		work = append(work, blocks[i])
 		inWork[blocks[i].Order] = true
 	}
-	sc.tmp.Reset(n)
-	tmp := &sc.tmp
 	for len(work) > 0 {
 		b := work[len(work)-1]
 		work = work[:len(work)-1]
 		inWork[b.Order] = false
 
 		o := out[b.Order]
+		grew := false
 		for _, s := range b.Succs {
-			o.Union(in[s.Order])
+			if o.Union(in[s.Order]) {
+				grew = true
+			}
 		}
-		// In(b) = Gen(b) ∪ (Out(b) − Kill(b))
-		tmp.Copy(o)
+		if !grew {
+			continue // In(b) = Gen(b) ∪ (Out(b) − Kill(b)) still holds
+		}
+		var k *bitset.Set
 		if kill != nil {
-			if k := kill(b); k != nil {
-				tmp.Subtract(k)
-			}
+			k = kill(b)
 		}
-		if gen != nil {
-			if g := gen(b); g != nil {
-				tmp.Union(g)
-			}
+		var changed bool
+		if k != nil {
+			changed = in[b.Order].UnionDiff(o, k)
+		} else {
+			changed = in[b.Order].Union(o)
 		}
-		if !tmp.Equal(in[b.Order]) {
-			in[b.Order].Copy(tmp)
+		if changed {
 			for _, pred := range b.Preds {
 				if !inWork[pred.Order] {
 					inWork[pred.Order] = true

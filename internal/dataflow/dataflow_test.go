@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/dataflow/dataflowtest"
 	"repro/internal/ir"
 	"repro/internal/progs"
 	"repro/internal/target"
@@ -294,6 +295,51 @@ func TestDenseMatchesSparseOnRandomCorpus(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestSolverMatchesReference checks the in-place solver against the
+// copy/compare reference on the liveness problem of every procedure in
+// the differential corpus, with one Scratch reused throughout.
+func TestSolverMatchesReference(t *testing.T) {
+	var sc Scratch
+	for _, c := range dataflowtest.Corpus(2) {
+		for _, p := range c.Prog.Procs {
+			p := p.Clone()
+			p.Renumber()
+			lv := sc.Compute(p)
+			in, out := dataflowtest.SolveBackwardUnion(p.Blocks, lv.NumGlobals(),
+				func(b *ir.Block) *bitset.Set { return sc.gen[b.Order] },
+				func(b *ir.Block) *bitset.Set { return sc.kill[b.Order] })
+			if d := dataflowtest.Diff(p.Blocks, lv.LiveIn, lv.LiveOut, in, out); d != "" {
+				t.Fatalf("%s proc %s: %s", c.Name, p.Name, d)
+			}
+		}
+	}
+}
+
+// TestSolverNilGenKill covers the nil gen and kill forms against the
+// reference: with no kill the transfer is a plain union.
+func TestSolverNilGenKill(t *testing.T) {
+	p, _ := buildLoop(t)
+	n := 3
+	gen := make([]*bitset.Set, len(p.Blocks))
+	for _, b := range p.Blocks {
+		gen[b.Order] = bitset.New(n)
+		gen[b.Order].Add(b.Order % n)
+	}
+	genF := func(b *ir.Block) *bitset.Set { return gen[b.Order] }
+	nilKill := func(*ir.Block) *bitset.Set { return nil }
+	for name, fs := range map[string][2]func(*ir.Block) *bitset.Set{
+		"nil kill":         {genF, nil},
+		"kill returns nil": {genF, nilKill},
+		"nil gen":          {nil, nil},
+	} {
+		in, out := SolveBackwardUnion(p.Blocks, n, fs[0], fs[1])
+		rin, rout := dataflowtest.SolveBackwardUnion(p.Blocks, n, fs[0], fs[1])
+		if d := dataflowtest.Diff(p.Blocks, in, out, rin, rout); d != "" {
+			t.Fatalf("%s: %s", name, d)
 		}
 	}
 }

@@ -55,8 +55,14 @@ func PipelineChecked(prog *ir.Program, mach *target.Machine, a alloc.Allocator, 
 	var agg alloc.Stats
 	for _, p := range prog.Procs {
 		in := p.Clone()
-		opt.DeadCodeElim(in)
-		res, err := a.Allocate(in)
+		lv, _ := opt.DeadCodeElim(in)
+		var res *alloc.Result
+		var err error
+		if oa, ok := a.(alloc.OwnedAllocator); ok {
+			res, err = oa.AllocateOwned(in, lv)
+		} else {
+			res, err = a.Allocate(in)
+		}
 		if err != nil {
 			return nil, agg, fmt.Errorf("%s: %s: %w", a.Name(), p.Name, err)
 		}

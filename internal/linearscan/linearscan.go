@@ -47,7 +47,10 @@ func init() {
 // Name identifies the allocator in reports.
 func (a *Allocator) Name() string { return "linear scan (Poletto)" }
 
-var _ alloc.Allocator = (*Allocator)(nil)
+var (
+	_ alloc.Allocator      = (*Allocator)(nil)
+	_ alloc.OwnedAllocator = (*Allocator)(nil)
+)
 
 type span struct {
 	temp       ir.Temp
@@ -58,20 +61,17 @@ type span struct {
 // Allocate clones p, assigns whole flat intervals to registers with the
 // furthest-end spill heuristic, rewrites, and returns statistics.
 func (a *Allocator) Allocate(orig *ir.Proc) (*alloc.Result, error) {
-	return a.AllocateOwned(orig.Clone())
+	return alloc.AllocateClone(a, orig, nil, a.profileAllocs)
 }
 
 // AllocateOwned allocates a procedure the caller owns: p is rewritten in
-// place and must not be used afterwards.
-func (a *Allocator) AllocateOwned(p *ir.Proc) (*alloc.Result, error) {
+// place and must not be used afterwards. lv is the caller's liveness of
+// p (see alloc.OwnedAllocator).
+func (a *Allocator) AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*alloc.Result, error) {
 	res := &alloc.Result{Proc: p}
 	tm := alloc.NewTimer(a.profileAllocs)
-	p.Renumber()
-	tm.Mark(&res.Stats, alloc.PhaseOther)
 	cfg.ComputeLoopDepths(p)
 	tm.Mark(&res.Stats, alloc.PhaseCFG)
-	lv := dataflow.Compute(p)
-	tm.Mark(&res.Stats, alloc.PhaseDataflow)
 
 	start := time.Now()
 	lt := lifetime.Compute(p, lv)

@@ -8,75 +8,130 @@
 package opt
 
 import (
+	"slices"
+
+	"repro/internal/alloc"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
+	"repro/internal/scratch"
 	"repro/internal/target"
 )
 
+// Scratch is the reusable working storage of the dead-code and
+// store-forwarding passes. One Scratch serves one goroutine (the engine
+// keeps one per pooled worker); the zero value is ready to use.
+type Scratch struct {
+	// Dead-code elimination.
+	state   []uint8   // per temporary: sweep state in the current block
+	touched []ir.Temp // temporaries whose state is set, reset per block
+	buf     []ir.Temp
+
+	// Store forwarding: the register operand mirroring each slot and the
+	// tick it was recorded at, and the tick each register was last
+	// written at.
+	slotReg []ir.Operand
+	slotAt  []int
+	regAt   []int
+}
+
 // DeadCodeElim removes instructions whose results are never used: a def
 // of a temporary not live after the instruction, with no side effects.
-// Instructions defining physical registers, stores, calls and terminators
-// are always kept. Returns the number of instructions removed.
-func DeadCodeElim(p *ir.Proc) int {
+// Instructions defining physical registers, stores, calls and
+// terminators are always kept. Each round solves liveness into df and
+// sweeps the blocks against it, until a round removes nothing; that
+// last round's liveness is exact for p as the pass leaves it
+// (renumbered), so it is returned for the allocator to consume,
+// together with the number of instructions removed. The liveness is
+// owned by df and valid until its next Compute. tm charges each solve
+// to alloc.PhaseDataflow and each sweep to alloc.PhaseOpt in st.
+func (sc *Scratch) DeadCodeElim(p *ir.Proc, df *dataflow.Scratch, tm *alloc.Timer, st *alloc.Stats) (*dataflow.Liveness, int) {
 	removed := 0
 	for {
 		p.Renumber()
-		lv := dataflow.Compute(p)
-		n := removeDead(p, lv)
+		lv := df.Compute(p)
+		tm.Mark(st, alloc.PhaseDataflow)
+		n := sc.sweep(p, lv)
+		tm.Mark(st, alloc.PhaseOpt)
 		removed += n
 		if n == 0 {
-			return removed
+			return lv, removed
 		}
 	}
 }
 
-func removeDead(p *ir.Proc, lv *dataflow.Liveness) int {
-	removed := 0
-	var dbuf []ir.Temp
-	live := make([]bool, p.NumTemps())
-	for _, b := range p.Blocks {
-		// Per-block backward liveness over all temps (locals included).
-		for i := range live {
-			live[i] = false
-		}
-		lv.LiveOut[b.Order].ForEach(func(gi int) { live[lv.Globals[gi]] = true })
+// DeadCodeElim is Scratch.DeadCodeElim with throwaway storage and no
+// phase timing.
+func DeadCodeElim(p *ir.Proc) (*dataflow.Liveness, int) {
+	tm := alloc.NewTimer(false)
+	return new(Scratch).DeadCodeElim(p, new(dataflow.Scratch), &tm, new(alloc.Stats))
+}
 
-		keep := make([]bool, len(b.Instrs))
-		for i := len(b.Instrs) - 1; i >= 0; i-- {
-			in := &b.Instrs[i]
-			keep[i] = true
-			if isRemovable(in) {
-				dbuf = in.DefTemps(dbuf[:0])
-				allDead := true
-				for _, d := range dbuf {
-					if live[d] {
-						allDead = false
-						break
-					}
-				}
-				if allDead && len(dbuf) > 0 {
-					keep[i] = false
-					removed++
-					continue // a dead instruction's uses do not count
-				}
+// Per-block liveness states of the backward sweep. A temporary the
+// walk has not touched yet in the current block is live exactly when
+// the block's live-out set holds it, so the sweep never materializes
+// that set: it costs O(instructions), not O(blocks × live temporaries).
+const (
+	untouched uint8 = iota
+	liveHere
+	deadHere
+)
+
+// sweep walks each block backward and deletes removable instructions
+// whose defs are all dead, compacting the block in place.
+func (sc *Scratch) sweep(p *ir.Proc, lv *dataflow.Liveness) int {
+	removed := 0
+	sc.state = scratch.GrowCleared(sc.state, p.NumTemps())
+	state, touched, buf := sc.state, sc.touched[:0], sc.buf
+	for _, b := range p.Blocks {
+		liveOut := lv.LiveOut[b.Order]
+		isLive := func(t ir.Temp) bool {
+			switch state[t] {
+			case liveHere:
+				return true
+			case deadHere:
+				return false
 			}
-			for _, d := range in.DefTemps(dbuf[:0]) {
-				live[d] = false
+			gi := lv.Index[t]
+			return gi >= 0 && liveOut.Contains(int(gi))
+		}
+		set := func(t ir.Temp, st uint8) {
+			if state[t] == untouched {
+				touched = append(touched, t)
 			}
-			for _, u := range in.UseTemps(dbuf[:0]) {
-				live[u] = true
+			state[t] = st
+		}
+		// Kept instructions slide to the block's tail as the walk goes,
+		// so w is the first kept slot.
+		instrs := b.Instrs
+		w := len(instrs)
+		for i := len(instrs) - 1; i >= 0; i-- {
+			in := &instrs[i]
+			buf = in.DefTemps(buf[:0])
+			if isRemovable(in) && len(buf) > 0 && !slices.ContainsFunc(buf, isLive) {
+				removed++
+				continue // a dead instruction's uses do not count
+			}
+			for _, t := range buf {
+				set(t, deadHere)
+			}
+			buf = in.UseTemps(buf[:0])
+			for _, t := range buf {
+				set(t, liveHere)
+			}
+			w--
+			if w != i {
+				instrs[w] = *in
 			}
 		}
-		if removed > 0 {
-			out := b.Instrs[:0]
-			for i := range b.Instrs {
-				if keep[i] {
-					out = append(out, b.Instrs[i])
-				}
-			}
-			b.Instrs = out
+		if w > 0 {
+			b.Instrs = instrs[:copy(instrs, instrs[w:])]
 		}
+		for _, t := range touched {
+			state[t] = untouched
+		}
+		touched = touched[:0]
 	}
+	sc.touched, sc.buf = touched, buf
 	return removed
 }
 
@@ -109,7 +164,11 @@ func Peephole(p *ir.Proc) int {
 				removed++
 				continue
 			}
-			out = append(out, b.Instrs[i])
+			if len(out) == i {
+				out = out[:i+1] // nothing removed yet: no copy
+			} else {
+				out = append(out, *in)
+			}
 		}
 		b.Instrs = out
 	}
@@ -124,24 +183,51 @@ func Peephole(p *ir.Proc) int {
 // cleanup the paper suggests ("a later code motion pass that tries to
 // sink stores and hoist loads until they meet", §2.4). Returns the number
 // of instructions rewritten or removed.
-func ForwardStores(p *ir.Proc, mach *target.Machine) int {
-	changed := 0
-	type slotVal struct {
-		reg ir.Operand
-		ok  bool
+//
+// Knowledge is kept as ticks rather than a slot map: a slot's mirror is
+// valid while it was recorded after both its register's last write and
+// the last barrier (block entry or call), so a register write forgets
+// every slot it mirrored in O(1). Slots outside [0, p.NumSlots) are
+// never forwarded; ir.ValidateAllocated rejects them anyway.
+func (sc *Scratch) ForwardStores(p *ir.Proc, mach *target.Machine) int {
+	sc.slotReg = scratch.Grow(sc.slotReg, p.NumSlots)
+	sc.slotAt = scratch.GrowCleared(sc.slotAt, p.NumSlots)
+	sc.regAt = scratch.GrowCleared(sc.regAt, mach.NumRegs())
+	slotReg, slotAt, regAt := sc.slotReg, sc.slotAt, sc.regAt
+	tick, barrier := 0, 0
+	inRange := func(slot int64) bool { return slot >= 0 && slot < int64(len(slotAt)) }
+	mirror := func(slot int64) (ir.Operand, bool) {
+		if !inRange(slot) {
+			return ir.Operand{}, false
+		}
+		at, reg := slotAt[slot], slotReg[slot]
+		return reg, at > barrier && at > regAt[reg.Reg]
 	}
+	record := func(slot int64, reg ir.Operand) {
+		if inRange(slot) {
+			tick++
+			slotReg[slot], slotAt[slot] = reg, tick
+		}
+	}
+	write := func(r target.Reg) {
+		tick++
+		regAt[r] = tick
+	}
+
+	changed := 0
 	for _, b := range p.Blocks {
-		known := map[int64]slotVal{} // slot -> register holding its value
+		tick++
+		barrier = tick
 		out := b.Instrs[:0]
 		for i := range b.Instrs {
 			in := b.Instrs[i]
 			switch {
 			case in.Op == ir.SpillSt && in.Uses[0].Kind == ir.KindReg:
-				known[in.Uses[1].Imm] = slotVal{reg: in.Uses[0], ok: true}
+				record(in.Uses[1].Imm, in.Uses[0])
 			case in.Op == ir.SpillLd && in.Defs[0].Kind == ir.KindReg:
 				slot := in.Uses[0].Imm
-				if v, ok := known[slot]; ok && v.ok {
-					if v.reg.Reg == in.Defs[0].Reg {
+				if v, ok := mirror(slot); ok {
+					if v.Reg == in.Defs[0].Reg {
 						changed++ // reload of a value already in place
 						continue
 					}
@@ -150,33 +236,25 @@ func ForwardStores(p *ir.Proc, mach *target.Machine) int {
 						op = ir.FMov
 					}
 					in = ir.Instr{Op: op, Tag: in.Tag, Pos: in.Pos,
-						Defs: in.Defs, Uses: []ir.Operand{v.reg},
+						Defs: in.Defs, Uses: []ir.Operand{v},
 						OrigUses: in.OrigUses, OrigDefs: in.OrigDefs}
 					changed++
 				}
 				// The load wrote its destination register: slots
 				// mirrored there are stale, and the loaded register now
 				// mirrors this slot.
-				for s, v := range known {
-					if v.reg.Reg == in.Defs[0].Reg {
-						delete(known, s)
-					}
-				}
-				known[slot] = slotVal{reg: in.Defs[0], ok: true}
+				write(in.Defs[0].Reg)
+				record(slot, in.Defs[0])
 			case in.Op == ir.Call:
 				// Calls clobber caller-saved registers; forget
 				// everything to stay conservative.
-				known = map[int64]slotVal{}
+				tick++
+				barrier = tick
 			default:
 				// Any def of a register invalidates slots mirrored there.
 				for _, d := range in.Defs {
-					if d.Kind != ir.KindReg {
-						continue
-					}
-					for s, v := range known {
-						if v.reg.Reg == d.Reg {
-							delete(known, s)
-						}
+					if d.Kind == ir.KindReg {
+						write(d.Reg)
 					}
 				}
 			}
@@ -185,4 +263,9 @@ func ForwardStores(p *ir.Proc, mach *target.Machine) int {
 		b.Instrs = out
 	}
 	return changed
+}
+
+// ForwardStores is Scratch.ForwardStores with throwaway storage.
+func ForwardStores(p *ir.Proc, mach *target.Machine) int {
+	return new(Scratch).ForwardStores(p, mach)
 }

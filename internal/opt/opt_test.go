@@ -22,7 +22,7 @@ func TestDeadCodeElim(t *testing.T) {
 	pb.Ret(x)
 
 	before := pb.P.NumInstrs()
-	removed := DeadCodeElim(pb.P)
+	_, removed := DeadCodeElim(pb.P)
 	if removed != 2 {
 		t.Fatalf("removed %d, want 2 (transitively dead chain)", removed)
 	}

@@ -157,12 +157,11 @@ func overlap(a, b []lifetime.Segment) bool {
 }
 
 // planProc computes the minimum-spill-cost whole-lifetime assignment
-// for p under the given block-frequency function. p is mutated
-// (Renumber, loop depths); callers pass owned clones.
-func planProc(p *ir.Proc, mach *target.Machine, freq func(*ir.Block) int64, lim Limits) *Plan {
-	p.Renumber()
+// for p under the given block-frequency function. p must be
+// Renumber()ed and lv must be its liveness; p is mutated (loop depths),
+// so callers pass owned clones.
+func planProc(p *ir.Proc, lv *dataflow.Liveness, mach *target.Machine, freq func(*ir.Block) int64, lim Limits) *Plan {
 	cfg.ComputeLoopDepths(p)
-	lv := dataflow.Compute(p)
 	lt := lifetime.Compute(p, lv)
 	rb := lifetime.ComputeRegBusy(p, mach)
 	w := spillWeights(p, freq)

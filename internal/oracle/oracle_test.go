@@ -25,6 +25,13 @@ type bruteItem struct {
 	cands  []target.Reg
 }
 
+// planFresh is planProc on a procedure with no liveness yet: it
+// renumbers p and solves its liveness first.
+func planFresh(p *ir.Proc, mach *target.Machine, freq func(*ir.Block) int64, lim Limits) *Plan {
+	p.Renumber()
+	return planProc(p, dataflow.Compute(p), mach, freq, lim)
+}
+
 // bruteForce finds the true minimum spill cost by enumerating every
 // whole-lifetime assignment (each temporary: one of its legal
 // registers, or memory), with only feasibility filtering. Returns ok =
@@ -129,7 +136,7 @@ func TestBruteForceAgreement(t *testing.T) {
 				if !ok {
 					continue
 				}
-				plan := planProc(p.Clone(), mach, StaticFreq, DefaultLimits())
+				plan := planFresh(p.Clone(), mach, StaticFreq, DefaultLimits())
 				if !plan.Proven {
 					t.Fatalf("%s/%s seed %d: tiny fixture not proven (items %d kernel %d nodes %d)",
 						mach.Name, p.Name, seed, plan.Items, plan.Kernel, plan.Nodes)
@@ -247,7 +254,7 @@ func TestWideMachineKernelizes(t *testing.T) {
 	gen.Stmts = 40
 	prog := progs.Random(mach, gen)
 	for _, p := range prog.Procs {
-		plan := planProc(p.Clone(), mach, StaticFreq, DefaultLimits())
+		plan := planFresh(p.Clone(), mach, StaticFreq, DefaultLimits())
 		if plan.Kernel != 0 || !plan.Proven || plan.Cost != 0 || plan.Nodes != 0 {
 			t.Fatalf("%s: wide machine should kernelize fully: kernel %d cost %d proven %v nodes %d",
 				p.Name, plan.Kernel, plan.Cost, plan.Proven, plan.Nodes)
@@ -280,7 +287,7 @@ func TestProfileDirectsSpills(t *testing.T) {
 	var staticCost int64
 	for _, p := range prog.Procs {
 		in := p.Clone()
-		plan := planProc(in, mach, StaticFreq, DefaultLimits())
+		plan := planFresh(in, mach, StaticFreq, DefaultLimits())
 		// Re-cost the static assignment under dynamic weights.
 		in2 := p.Clone()
 		in2.Renumber()

@@ -67,8 +67,8 @@ func OptimalCost(prog *ir.Program, mach *target.Machine, pf *Profile, lim Limits
 	proven = true
 	for _, p := range prog.Procs {
 		in := p.Clone()
-		opt.DeadCodeElim(in)
-		plan := planProc(in, mach, pf.FreqFunc(p.Name), lim)
+		lv, _ := opt.DeadCodeElim(in)
+		plan := planProc(in, lv, mach, pf.FreqFunc(p.Name), lim)
 		cost += plan.Cost
 		if !plan.Proven {
 			proven = false

@@ -124,6 +124,33 @@ func ProfileGen(name string, seed int64) (GenConfig, error) {
 	return c, nil
 }
 
+// fuzzMachines is the machine axis the fuzz targets built on FuzzGen
+// cycle through: every named preset plus two tiny spill-forcers.
+var fuzzMachines = []string{"alpha", "x86-8", "risc-16", "wide-64", "int-heavy", "tiny", "tiny:4,3"}
+
+// FuzzGen decodes raw fuzz arguments into a machine and a bounded
+// GenConfig: the shared recipe of the fuzz targets that build random
+// programs, so one corpus entry means the same program to each.
+func FuzzGen(seed int64, machSel, intTemps, floatTemps, stmts, depth uint8, calls, memory, helper bool) (*target.Machine, GenConfig) {
+	mach, err := target.Parse(fuzzMachines[int(machSel)%len(fuzzMachines)])
+	if err != nil {
+		// fuzzMachines is a fixed list; an unresolvable entry is a bug
+		// in this file, not an interesting fuzz input.
+		panic(err)
+	}
+	cfg := GenConfig{
+		Seed:       seed,
+		IntTemps:   2 + int(intTemps%27),
+		FloatTemps: int(floatTemps % 13),
+		Stmts:      1 + int(stmts)%120,
+		MaxDepth:   int(depth) % 4,
+		Calls:      calls,
+		Memory:     memory,
+		Helper:     helper,
+	}
+	return mach, cfg
+}
+
 // pctOr returns v, or def when v is zero (the historical weight).
 func pctOr(v, def int) int {
 	if v == 0 {
