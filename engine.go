@@ -321,7 +321,7 @@ func (e *Engine) AllocateProc(p *Proc) (*Result, error) {
 		tm.Mark(&engineStats, alloc.PhaseVerify)
 	}
 	if e.forwardStores {
-		w.opt.ForwardStores(res.Proc, e.mach)
+		opt.ForwardStores(res.Proc, e.mach)
 	}
 	if e.peephole {
 		opt.Peephole(res.Proc)

@@ -99,6 +99,62 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 }
 
+// ownedCounting is an allocator written purely against the public API
+// that implements the OwnedAllocator fast path by delegating to a
+// built-in one.
+type ownedCounting struct {
+	inner regalloc.OwnedAllocator
+	owned atomic.Int64
+	bad   atomic.Int64 // calls whose liveness did not fit the procedure
+}
+
+var _ regalloc.OwnedAllocator = (*ownedCounting)(nil)
+
+func (o *ownedCounting) Name() string { return "test-owned" }
+
+func (o *ownedCounting) Allocate(p *regalloc.Proc) (*regalloc.Result, error) {
+	q := p.Clone()
+	q.Renumber()
+	return o.AllocateOwned(q, regalloc.ComputeLiveness(q))
+}
+
+func (o *ownedCounting) AllocateOwned(p *regalloc.Proc, lv *regalloc.Liveness) (*regalloc.Result, error) {
+	o.owned.Add(1)
+	if lv == nil || len(lv.LiveIn) != len(p.Blocks) || len(lv.LiveOut) != len(p.Blocks) {
+		o.bad.Add(1)
+	}
+	return o.inner.AllocateOwned(p, lv)
+}
+
+// TestExternalOwnedAllocator checks that an allocator outside the
+// module can implement OwnedAllocator through the exported Liveness
+// alias, and that the engine then drives it through the fast path,
+// handing it liveness shaped for the procedure it receives.
+func TestExternalOwnedAllocator(t *testing.T) {
+	mach := regalloc.Alpha()
+	a := &ownedCounting{inner: regalloc.NewAllocator(mach, regalloc.DefaultOptions()).(regalloc.OwnedAllocator)}
+	if err := regalloc.Register("test-owned", func(*regalloc.Machine) regalloc.Allocator { return a }); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := regalloc.New(mach, regalloc.WithAlgorithm("test-owned"), regalloc.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := progs.Named("wc").Build(mach, 1)
+	if _, _, err := eng.AllocateProgram(context.Background(), prog); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.owned.Load(); got != int64(len(prog.Procs)) {
+		t.Fatalf("AllocateOwned saw %d calls, want %d", got, len(prog.Procs))
+	}
+	if _, err := a.Allocate(prog.Procs[0]); err != nil {
+		t.Fatalf("Allocate via ComputeLiveness: %v", err)
+	}
+	if n := a.bad.Load(); n != 0 {
+		t.Fatalf("%d calls received liveness that does not fit the procedure", n)
+	}
+}
+
 func TestEngineUnknownAlgorithm(t *testing.T) {
 	_, err := regalloc.New(regalloc.Alpha(), regalloc.WithAlgorithm("no-such-allocator"))
 	if err == nil {

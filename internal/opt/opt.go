@@ -17,21 +17,13 @@ import (
 	"repro/internal/target"
 )
 
-// Scratch is the reusable working storage of the dead-code and
-// store-forwarding passes. One Scratch serves one goroutine (the engine
-// keeps one per pooled worker); the zero value is ready to use.
+// Scratch is the reusable working storage of the dead-code pass. One
+// Scratch serves one goroutine (the engine keeps one per pooled
+// worker); the zero value is ready to use.
 type Scratch struct {
-	// Dead-code elimination.
 	state   []uint8   // per temporary: sweep state in the current block
 	touched []ir.Temp // temporaries whose state is set, reset per block
 	buf     []ir.Temp
-
-	// Store forwarding: the register operand mirroring each slot and the
-	// tick it was recorded at, and the tick each register was last
-	// written at.
-	slotReg []ir.Operand
-	slotAt  []int
-	regAt   []int
 }
 
 // DeadCodeElim removes instructions whose results are never used: a def
@@ -164,11 +156,7 @@ func Peephole(p *ir.Proc) int {
 				removed++
 				continue
 			}
-			if len(out) == i {
-				out = out[:i+1] // nothing removed yet: no copy
-			} else {
-				out = append(out, *in)
-			}
+			out = append(out, b.Instrs[i])
 		}
 		b.Instrs = out
 	}
@@ -183,51 +171,24 @@ func Peephole(p *ir.Proc) int {
 // cleanup the paper suggests ("a later code motion pass that tries to
 // sink stores and hoist loads until they meet", §2.4). Returns the number
 // of instructions rewritten or removed.
-//
-// Knowledge is kept as ticks rather than a slot map: a slot's mirror is
-// valid while it was recorded after both its register's last write and
-// the last barrier (block entry or call), so a register write forgets
-// every slot it mirrored in O(1). Slots outside [0, p.NumSlots) are
-// never forwarded; ir.ValidateAllocated rejects them anyway.
-func (sc *Scratch) ForwardStores(p *ir.Proc, mach *target.Machine) int {
-	sc.slotReg = scratch.Grow(sc.slotReg, p.NumSlots)
-	sc.slotAt = scratch.GrowCleared(sc.slotAt, p.NumSlots)
-	sc.regAt = scratch.GrowCleared(sc.regAt, mach.NumRegs())
-	slotReg, slotAt, regAt := sc.slotReg, sc.slotAt, sc.regAt
-	tick, barrier := 0, 0
-	inRange := func(slot int64) bool { return slot >= 0 && slot < int64(len(slotAt)) }
-	mirror := func(slot int64) (ir.Operand, bool) {
-		if !inRange(slot) {
-			return ir.Operand{}, false
-		}
-		at, reg := slotAt[slot], slotReg[slot]
-		return reg, at > barrier && at > regAt[reg.Reg]
-	}
-	record := func(slot int64, reg ir.Operand) {
-		if inRange(slot) {
-			tick++
-			slotReg[slot], slotAt[slot] = reg, tick
-		}
-	}
-	write := func(r target.Reg) {
-		tick++
-		regAt[r] = tick
-	}
-
+func ForwardStores(p *ir.Proc, mach *target.Machine) int {
 	changed := 0
+	type slotVal struct {
+		reg ir.Operand
+		ok  bool
+	}
 	for _, b := range p.Blocks {
-		tick++
-		barrier = tick
+		known := map[int64]slotVal{} // slot -> register holding its value
 		out := b.Instrs[:0]
 		for i := range b.Instrs {
 			in := b.Instrs[i]
 			switch {
 			case in.Op == ir.SpillSt && in.Uses[0].Kind == ir.KindReg:
-				record(in.Uses[1].Imm, in.Uses[0])
+				known[in.Uses[1].Imm] = slotVal{reg: in.Uses[0], ok: true}
 			case in.Op == ir.SpillLd && in.Defs[0].Kind == ir.KindReg:
 				slot := in.Uses[0].Imm
-				if v, ok := mirror(slot); ok {
-					if v.Reg == in.Defs[0].Reg {
+				if v, ok := known[slot]; ok && v.ok {
+					if v.reg.Reg == in.Defs[0].Reg {
 						changed++ // reload of a value already in place
 						continue
 					}
@@ -236,25 +197,33 @@ func (sc *Scratch) ForwardStores(p *ir.Proc, mach *target.Machine) int {
 						op = ir.FMov
 					}
 					in = ir.Instr{Op: op, Tag: in.Tag, Pos: in.Pos,
-						Defs: in.Defs, Uses: []ir.Operand{v},
+						Defs: in.Defs, Uses: []ir.Operand{v.reg},
 						OrigUses: in.OrigUses, OrigDefs: in.OrigDefs}
 					changed++
 				}
 				// The load wrote its destination register: slots
 				// mirrored there are stale, and the loaded register now
 				// mirrors this slot.
-				write(in.Defs[0].Reg)
-				record(slot, in.Defs[0])
+				for s, v := range known {
+					if v.reg.Reg == in.Defs[0].Reg {
+						delete(known, s)
+					}
+				}
+				known[slot] = slotVal{reg: in.Defs[0], ok: true}
 			case in.Op == ir.Call:
 				// Calls clobber caller-saved registers; forget
 				// everything to stay conservative.
-				tick++
-				barrier = tick
+				known = map[int64]slotVal{}
 			default:
 				// Any def of a register invalidates slots mirrored there.
 				for _, d := range in.Defs {
-					if d.Kind == ir.KindReg {
-						write(d.Reg)
+					if d.Kind != ir.KindReg {
+						continue
+					}
+					for s, v := range known {
+						if v.reg.Reg == d.Reg {
+							delete(known, s)
+						}
 					}
 				}
 			}
@@ -263,9 +232,4 @@ func (sc *Scratch) ForwardStores(p *ir.Proc, mach *target.Machine) int {
 		b.Instrs = out
 	}
 	return changed
-}
-
-// ForwardStores is Scratch.ForwardStores with throwaway storage.
-func ForwardStores(p *ir.Proc, mach *target.Machine) int {
-	return new(Scratch).ForwardStores(p, mach)
 }

@@ -7,11 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
-	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/dataflow/dataflowtest"
 	"repro/internal/ir"
-	"repro/internal/linearscan"
 	"repro/internal/progs"
 	"repro/internal/target"
 )
@@ -186,100 +184,4 @@ func TestDCESuiteGolden(t *testing.T) {
 			}
 		}
 	}
-}
-
-// referenceForwardStores is the original map-based store forwarder,
-// kept as the reference for Scratch.ForwardStores: a fresh slot→register
-// map per block, scanned in full on every register write.
-func referenceForwardStores(p *ir.Proc, mach *target.Machine) int {
-	changed := 0
-	type slotVal struct {
-		reg ir.Operand
-		ok  bool
-	}
-	for _, b := range p.Blocks {
-		known := map[int64]slotVal{}
-		out := b.Instrs[:0]
-		for i := range b.Instrs {
-			in := b.Instrs[i]
-			switch {
-			case in.Op == ir.SpillSt && in.Uses[0].Kind == ir.KindReg:
-				known[in.Uses[1].Imm] = slotVal{reg: in.Uses[0], ok: true}
-			case in.Op == ir.SpillLd && in.Defs[0].Kind == ir.KindReg:
-				slot := in.Uses[0].Imm
-				if v, ok := known[slot]; ok && v.ok {
-					if v.reg.Reg == in.Defs[0].Reg {
-						changed++
-						continue
-					}
-					op := ir.Mov
-					if mach.RegClass(in.Defs[0].Reg) == target.ClassFloat {
-						op = ir.FMov
-					}
-					in = ir.Instr{Op: op, Tag: in.Tag, Pos: in.Pos,
-						Defs: in.Defs, Uses: []ir.Operand{v.reg},
-						OrigUses: in.OrigUses, OrigDefs: in.OrigDefs}
-					changed++
-				}
-				for s, v := range known {
-					if v.reg.Reg == in.Defs[0].Reg {
-						delete(known, s)
-					}
-				}
-				known[slot] = slotVal{reg: in.Defs[0], ok: true}
-			case in.Op == ir.Call:
-				known = map[int64]slotVal{}
-			default:
-				for _, d := range in.Defs {
-					if d.Kind != ir.KindReg {
-						continue
-					}
-					for s, v := range known {
-						if v.reg.Reg == d.Reg {
-							delete(known, s)
-						}
-					}
-				}
-			}
-			out = append(out, in)
-		}
-		b.Instrs = out
-	}
-	return changed
-}
-
-// TestForwardStoresMatchesReference allocates the differential corpus
-// with spill-heavy allocators and checks that the tick-based forwarder,
-// reusing one Scratch throughout, rewrites every procedure exactly as
-// the map-based reference does.
-func TestForwardStoresMatchesReference(t *testing.T) {
-	var sc Scratch
-	total := 0
-	for _, c := range dataflowtest.Corpus(2) {
-		for _, a := range []alloc.Allocator{core.NewDefault(c.Mach), linearscan.New(c.Mach)} {
-			for _, p := range c.Prog.Procs {
-				res, err := a.Allocate(p)
-				if err != nil {
-					t.Fatalf("%s %s proc %s: %v", c.Name, a.Name(), p.Name, err)
-				}
-				got, want := res.Proc.Clone(), res.Proc.Clone()
-				n, wantN := sc.ForwardStores(got, c.Mach), referenceForwardStores(want, c.Mach)
-				if n != wantN {
-					t.Fatalf("%s %s proc %s: changed %d, reference %d", c.Name, a.Name(), p.Name, n, wantN)
-				}
-				pr := ir.Printer{Mach: c.Mach, Tags: true}
-				var gb, wb bytes.Buffer
-				pr.WriteProc(&gb, got)
-				pr.WriteProc(&wb, want)
-				if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
-					t.Fatalf("%s %s proc %s: output differs:\n%s\nreference:\n%s", c.Name, a.Name(), p.Name, gb.String(), wb.String())
-				}
-				total += n
-			}
-		}
-	}
-	if total == 0 {
-		t.Fatal("the corpus exercised no forwarding")
-	}
-	t.Logf("%d loads forwarded or deleted", total)
 }

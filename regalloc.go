@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/core"
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/target"
 	"repro/internal/verify"
@@ -91,8 +92,18 @@ type (
 	// Allocator is the common allocator interface.
 	Allocator = alloc.Allocator
 	// OwnedAllocator is the optional in-place fast path an Allocator
-	// can implement to skip the engine's defensive clone.
+	// can implement to skip the engine's defensive clone and liveness
+	// solve: AllocateOwned(p, lv) takes ownership of p, which the engine
+	// has already Renumber()ed, together with lv, p's liveness in that
+	// numbering. The allocator may read lv during the call but must not
+	// retain it. An allocator still implementing the older
+	// AllocateOwned(p) signature does not satisfy this interface and is
+	// driven through Allocate instead.
 	OwnedAllocator = alloc.OwnedAllocator
+	// Liveness is the per-procedure liveness an OwnedAllocator receives:
+	// live-in and live-out sets over the procedure's cross-block
+	// temporaries (see ComputeLiveness).
+	Liveness = dataflow.Liveness
 	// PhaseProfiler is the optional interface through which the engine
 	// enables per-phase allocation sampling (WithPhaseProfile).
 	PhaseProfiler = alloc.PhaseProfiler
@@ -124,6 +135,12 @@ var (
 	ImmOp  = ir.ImmOp
 	FImmOp = ir.FImmOp
 )
+
+// ComputeLiveness solves liveness for p with fresh storage, in the form
+// the engine hands to OwnedAllocator.AllocateOwned. p must have been
+// Renumber()ed. An OwnedAllocator's Allocate can use it to clone,
+// renumber and analyze its input before delegating to AllocateOwned.
+func ComputeLiveness(p *Proc) *Liveness { return dataflow.Compute(p) }
 
 // Alpha returns the Alpha-like machine used by the paper's experiments.
 func Alpha() *Machine { return target.Alpha() }
