@@ -200,6 +200,20 @@ func (s *Set) Equal(t *Set) bool {
 	return true
 }
 
+// IntersectsDiff reports whether s ∩ (t − u) has a member, word by
+// word and without materializing the set.
+func (s *Set) IntersectsDiff(t, u *Set) bool {
+	s.check(t)
+	s.check(u)
+	tw, uw := t.words[:len(s.words)], u.words[:len(s.words)]
+	for i, w := range s.words {
+		if w&tw[i]&^uw[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Empty reports whether the set has no members.
 func (s *Set) Empty() bool {
 	for _, w := range s.words {

@@ -455,3 +455,45 @@ func TestUnionDiffEdgeCases(t *testing.T) {
 	}()
 	s.UnionDiff(tt, New(64))
 }
+
+// TestIntersectsDiffAgainstNaive checks the word-wise s ∩ (t − u) ≠ ∅
+// predicate against a member-by-member loop, over universes that end
+// mid-word as well as on a word boundary, with sparse and dense sets.
+func TestIntersectsDiffAgainstNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 0; n <= 200; n++ {
+		for iter := 0; iter < 20; iter++ {
+			randSet := func() *Set {
+				s := New(n)
+				if n == 0 {
+					return s
+				}
+				for i, k := 0, rng.Intn(n+1); i < k; i++ {
+					s.Add(rng.Intn(n))
+				}
+				return s
+			}
+			s, tt, u := randSet(), randSet(), randSet()
+			if iter%4 == 0 && n > 0 {
+				// Force a near miss: t − u loses exactly the common bits.
+				u = s.Clone()
+			}
+			want := false
+			for i := 0; i < n; i++ {
+				if s.Contains(i) && tt.Contains(i) && !u.Contains(i) {
+					want = true
+					break
+				}
+			}
+			if got := s.IntersectsDiff(tt, u); got != want {
+				t.Fatalf("n=%d: %v ∩ (%v − %v) non-empty = %v, want %v", n, s, tt, u, got, want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("size mismatch did not panic")
+		}
+	}()
+	New(70).IntersectsDiff(New(70), New(64))
+}

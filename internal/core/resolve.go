@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/bitset"
 	"repro/internal/ir"
 	"repro/internal/moves"
@@ -20,23 +22,12 @@ type edgeFix struct {
 // copy so register swaps come out in a semantically correct order. It
 // also runs the USED_CONSISTENCY dataflow and inserts the stores required
 // where a path reaches a point that exploited register/memory consistency
-// the path does not provide. sc supplies the pooled working storage.
+// the path does not provide. Edges whose ends already agree are
+// skipped without a walk (edgeAgrees). sc supplies the pooled working
+// storage.
 func (s *scan) resolve(sc *scanScratch) {
-	ng := s.lv.NumGlobals()
-
-	var usedCIn []*bitset.Set
-	if !s.opts.StrictLinear && ng > 0 {
-		// The solver scratch is distinct from the one liveness came
-		// from: LiveIn/LiveOut stay valid while this solve runs.
-		usedCIn, _ = s.consSolver.Solve(s.p.Blocks, ng,
-			func(b *ir.Block) *bitset.Set { return s.usedC[b.Order] },
-			func(b *ir.Block) *bitset.Set { return s.wrote[b.Order] })
-	}
-
+	usedCIn := s.usedConsistencyIn()
 	fixes := sc.fixes[:0]
-	if cap(sc.busyRegs) < s.mach.NumRegs() {
-		sc.busyRegs = make([]bool, s.mach.NumRegs())
-	}
 
 	// Collect all repairs before mutating the CFG (edge splitting would
 	// otherwise disturb iteration and positions).
@@ -44,6 +35,9 @@ func (s *scan) resolve(sc *scanScratch) {
 	sc.rblocks = blocks
 	for _, pb := range blocks {
 		for _, sb := range pb.Succs {
+			if s.edgeAgrees(pb, sb, usedCIn) {
+				continue
+			}
 			code := s.resolveEdge(pb, sb, usedCIn, sc)
 			if len(code) > 0 {
 				fixes = append(fixes, edgeFix{pred: pb, succ: sb, code: code})
@@ -85,11 +79,28 @@ func (s *scan) resolve(sc *scanScratch) {
 	sc.rblocks = blocks[:0]
 }
 
-// resolveEdge computes the repair code for one edge. Locations at the
-// predecessor's bottom and the successor's top come from the dense
-// botRegs/topRegs arrays: the k-th live-in global of a block (ascending
-// global index) is the k-th entry, and membership rank recovers the
-// position for point lookups.
+// usedConsistencyIn solves the USED_CONSISTENCY dataflow (§2.4): per
+// block, the globals whose register/memory consistency some path from
+// the block's top relies on. It is nil in strictly linear mode, which
+// never relies on consistency established elsewhere.
+func (s *scan) usedConsistencyIn() []*bitset.Set {
+	ng := s.lv.NumGlobals()
+	if s.opts.StrictLinear || ng == 0 {
+		return nil
+	}
+	// The solver scratch is distinct from the one liveness came from:
+	// LiveIn/LiveOut stay valid while this solve runs.
+	in, _ := s.consSolver.Solve(s.p.Blocks, ng,
+		func(b *ir.Block) *bitset.Set { return s.usedC[b.Order] },
+		func(b *ir.Block) *bitset.Set { return s.wrote[b.Order] })
+	return in
+}
+
+// resolveEdge computes the repair code for one edge by walking the
+// successor's live-in globals. Locations at the predecessor's bottom and
+// the successor's top come from the dense botRegs/topRegs arrays: the
+// k-th live-in global of a block (ascending global index) is the k-th
+// entry, and membership rank recovers the position for point lookups.
 func (s *scan) resolveEdge(pb, sb *ir.Block, usedCIn []*bitset.Set, sc *scanScratch) []ir.Instr {
 	bot := s.botRegs[pb.Order]
 	top := s.topRegs[sb.Order]
@@ -192,8 +203,23 @@ func (s *scan) resolveEdge(pb, sb *ir.Block, usedCIn []*bitset.Set, sc *scanScra
 		}
 		return target.NoReg, false
 	}
-	code := moves.Sequence(ts, scratch, func(t ir.Temp) int { return s.frame.SlotOf(t) },
+	code := sc.seq.Sequence(ts, scratch, s.frame.SlotOf,
 		moves.Tags{Load: ir.TagResolveLoad, Store: ir.TagResolveStore, Move: ir.TagResolveMove})
 	unmark()
 	return code
+}
+
+// edgeAgrees reports, without walking the successor's live-in set,
+// that edge pb→sb needs no repair code (resolveEdge would return none).
+// Both ends carry the same globals in the same locations, so no move,
+// load or store is due; and no global the successor needs consistent
+// (USED_CONSISTENCY in) is inconsistent at the predecessor's bottom, so
+// no consistency store is due either. About half the edges of the
+// Table 3 modules agree.
+func (s *scan) edgeAgrees(pb, sb *ir.Block, usedCIn []*bitset.Set) bool {
+	inS := s.lv.LiveIn[sb.Order]
+	if !s.lv.LiveOut[pb.Order].Equal(inS) || !slices.Equal(s.botRegs[pb.Order], s.topRegs[sb.Order]) {
+		return false
+	}
+	return usedCIn == nil || !usedCIn[sb.Order].IntersectsDiff(inS, s.savedCons[pb.Order])
 }

@@ -22,6 +22,9 @@ type scan struct {
 	lv   *dataflow.Liveness
 	lt   *lifetime.Table
 	rb   *lifetime.RegBusy
+	// busy answers the scan's own register-busy queries, whose
+	// positions never decrease; rb serves the look-back ones.
+	busy *lifetime.Cursor
 
 	frame      *alloc.Frame
 	usedCallee []bool // register → used callee-saved
@@ -91,12 +94,14 @@ type scanScratch struct {
 	wroteCur   bitset.Set
 	usedCCur   bitset.Set
 	ubuf, dbuf []ir.Temp
+	busy       lifetime.Cursor
 
 	// Resolution-phase (§2.4) working storage.
 	consSolver dataflow.SolverScratch
 	rblocks    []*ir.Block
 	fixes      []edgeFix
 	transfers  []moves.Transfer
+	seq        moves.Sequencer
 	busyRegs   []bool
 	busyDirty  []target.Reg
 }
@@ -120,6 +125,7 @@ func newScan(p *ir.Proc, mach *target.Machine, opts Options, lv *dataflow.Livene
 	sc.consLocal = grow(sc.consLocal, nt)
 	sc.pinned = grow(sc.pinned, nr)
 	sc.usedCallee = grow(sc.usedCallee, nr)
+	sc.busyRegs = grow(sc.busyRegs, nr)
 	sc.topRegs = grow(sc.topRegs, nb)
 	sc.botRegs = grow(sc.botRegs, nb)
 	sc.savedCons = grow(sc.savedCons, nb)
@@ -136,6 +142,7 @@ func newScan(p *ir.Proc, mach *target.Machine, opts Options, lv *dataflow.Livene
 	}
 	sc.wroteCur.Reset(ng)
 	sc.usedCCur.Reset(ng)
+	sc.busy.Reset(rb)
 
 	// Carve the per-block top/bottom location arrays out of two pooled
 	// arenas sized by the liveness sets.
@@ -165,7 +172,7 @@ func newScan(p *ir.Proc, mach *target.Machine, opts Options, lv *dataflow.Livene
 	}
 
 	s := &scan{
-		p: p, mach: mach, opts: opts, lv: lv, lt: lt, rb: rb,
+		p: p, mach: mach, opts: opts, lv: lv, lt: lt, rb: rb, busy: &sc.busy,
 		frame:      &sc.frame,
 		usedCallee: sc.usedCallee,
 		loc:        sc.loc,
@@ -267,36 +274,42 @@ func (s *scan) startBlock(b *ir.Block) {
 	})
 }
 
+// endBlock records the block's bottom state for resolution in one walk
+// over its live-out globals: their locations (botRegs) and their
+// ARE_CONSISTENT bits (savedCons). Resolution reads nothing else, so
+// only §2.6's strictly linear mode, whose next block starts from the
+// intersection of its predecessors' snapshots, snapshots every global.
 func (s *scan) endBlock(b *ir.Block) {
 	bot := s.botRegs[b.Order]
+	sc := s.savedCons[b.Order]
+	strict := s.opts.StrictLinear
 	k := 0
 	s.lv.LiveOut[b.Order].ForEach(func(gi int) {
-		bot[k] = s.loc[s.lv.Globals[gi]]
+		t := s.lv.Globals[gi]
+		r := s.loc[t]
+		bot[k] = r
 		k++
-	})
-
-	sc := s.savedCons[b.Order]
-	for gi, t := range s.lv.Globals {
 		// A temporary in memory is trivially consistent (its home is
 		// authoritative); one in a register carries its At bit.
-		if s.loc[t] == target.NoReg || s.consistent[t] {
+		if r == target.NoReg || s.consistent[t] {
 			sc.Add(gi)
 		}
-	}
-
-	if !s.opts.StrictLinear {
 		// Soundness refinement (documented in DESIGN.md): a live-out
 		// temporary whose register is believed consistent only by
 		// linear inheritance may have that belief consumed by edge
 		// resolution (store suppression) at this block's outgoing
 		// edges. Record it in the GEN set so the dataflow demands real
 		// consistency on entry, exactly as for in-block inhibitions.
-		s.lv.LiveOut[b.Order].ForEach(func(gi int) {
-			t := s.lv.Globals[gi]
-			if s.loc[t] != target.NoReg && s.consistent[t] && !s.consLocal[t] && !s.wroteCur.Contains(gi) {
-				s.usedCCur.Add(gi)
+		if !strict && r != target.NoReg && s.consistent[t] && !s.consLocal[t] && !s.wroteCur.Contains(gi) {
+			s.usedCCur.Add(gi)
+		}
+	})
+	if strict {
+		for gi, t := range s.lv.Globals {
+			if s.loc[t] == target.NoReg || s.consistent[t] {
+				sc.Add(gi)
 			}
-		})
+		}
 	}
 	s.wrote[b.Order].Copy(s.wroteCur)
 	s.usedC[b.Order].Copy(s.usedCCur)
@@ -329,7 +342,7 @@ func (s *scan) instr(in *ir.Instr) error {
 	// register that a convention needs at this point is evicted first
 	// (this is where temporaries leave caller-saved registers at calls).
 	for r := range s.regOcc {
-		if t := s.regOcc[r]; t != ir.NoTemp && s.rb.BusyAt(target.Reg(r), pos) {
+		if t := s.regOcc[r]; t != ir.NoTemp && s.busy.BusyAt(target.Reg(r), pos) {
 			s.evict(t, pos)
 		}
 	}
@@ -609,10 +622,13 @@ func (s *scan) findFree(c target.Class, t ir.Temp, pos int32, sufficientOnly boo
 	bestInsuff := target.NoReg
 	bestInsuffNext := int32(-1)
 	for _, r := range s.mach.AllocOrder(c) {
-		if s.pinned[r] || s.regOcc[r] != ir.NoTemp || s.rb.BusyAt(r, pos) {
+		if s.pinned[r] || s.regOcc[r] != ir.NoTemp {
 			continue
 		}
-		nb := s.rb.NextBusy(r, pos)
+		nb := s.busy.NextBusy(r, pos)
+		if nb == pos {
+			continue // busy now
+		}
 		if s.sufficientFrom(r, t, from) {
 			fresh := !s.mach.CallerSaved(r) && !s.usedCallee[r]
 			if nb < bestSuffNext || (nb == bestSuffNext && bestSuffFresh && !fresh) {

@@ -430,3 +430,72 @@ func (rb *RegBusy) NextBusy(r target.Reg, pos int32) int32 {
 func (rb *RegBusy) FreeThrough(r target.Reg, from, to int32) bool {
 	return rb.NextBusy(r, from) > to
 }
+
+// Cursor answers RegBusy queries for a sweep whose positions never
+// decrease, as the allocation scan's are. Per register it keeps the
+// index of the first busy segment that may still matter and that
+// segment's bounds, so a query is a compare against the cached bounds
+// and the index only moves forward: a monotone sweep costs amortized
+// O(1) per query instead of a binary search. A query below the cached
+// window falls back to the RegBusy binary search and leaves the cursor
+// where it was. Call Reset before the first query.
+type Cursor struct {
+	rb   *RegBusy
+	regs []regCursor
+}
+
+// regCursor is one register's cursor state.
+type regCursor struct {
+	idx        int32 // first segment ending at or after floor
+	floor      int32 // smallest position the cached segment answers for
+	start, end int32 // bounds of segment idx (start = next busy), or noBusy
+}
+
+// noBusy is NextBusy's "stays free" answer: above every position.
+const noBusy = int32(1) << 30
+
+// Reset points the cursor at rb, before its first position.
+func (c *Cursor) Reset(rb *RegBusy) {
+	c.rb = rb
+	c.regs = scratch.Grow(c.regs, len(rb.segs))
+	for r := range c.regs {
+		c.regs[r] = regCursor{floor: -1 << 31}
+		c.load(r)
+	}
+}
+
+// load caches the bounds of register r's segment idx.
+func (c *Cursor) load(r int) {
+	rc, segs := &c.regs[r], c.rb.segs[r]
+	if int(rc.idx) < len(segs) {
+		rc.start, rc.end = segs[rc.idx].Start, segs[rc.idx].End
+	} else {
+		rc.start, rc.end = noBusy, noBusy
+	}
+}
+
+// NextBusy is RegBusy.NextBusy.
+func (c *Cursor) NextBusy(r target.Reg, pos int32) int32 {
+	rc := &c.regs[r]
+	if pos < rc.floor {
+		return c.rb.NextBusy(r, pos)
+	}
+	if pos > rc.end {
+		segs := c.rb.segs[r]
+		i := rc.idx
+		for int(i) < len(segs) && segs[i].End < pos {
+			i++
+		}
+		rc.idx, rc.floor = i, segs[i-1].End+1
+		c.load(int(r))
+	}
+	if rc.start <= pos {
+		return pos // busy right now
+	}
+	return rc.start
+}
+
+// BusyAt is RegBusy.BusyAt.
+func (c *Cursor) BusyAt(r target.Reg, pos int32) bool {
+	return c.NextBusy(r, pos) == pos
+}

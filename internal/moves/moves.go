@@ -71,48 +71,129 @@ type Tags struct {
 // if none exists (in which case cycles are broken through memory).
 type ScratchFunc func(c target.Class) (target.Reg, bool)
 
+// Sequencer orders transfers with reusable working storage: the
+// per-location bookkeeping lives in dense arrays that are reset through
+// a dirty list after every call, so one Sequencer serves any number of
+// edges without per-call maps. A register endpoint is keyed by its
+// register number and a slot endpoint by its owning temporary (a slot
+// endpoint is always its temporary's own home), never by the slot
+// number, which the input controls. The zero value is ready to use; a
+// Sequencer is not safe for concurrent use.
+type Sequencer struct {
+	pending []Transfer
+	regSrc  []int32 // register → pending transfers reading it
+	regDst  []bool  // register → a transfer writes it
+	slotSrc []int32 // temporary → pending transfers reading its slot
+	slotDst []bool  // temporary → a transfer writes its slot
+	regs    []target.Reg
+	temps   []ir.Temp
+}
+
+// touch readies the bookkeeping of l (an endpoint of temp's transfer)
+// and records it for reset.
+func (sq *Sequencer) touch(l Loc, temp ir.Temp) {
+	if l.Kind == LocReg {
+		if n := int(l.Reg) + 1; n > len(sq.regSrc) {
+			sq.regSrc = append(sq.regSrc, make([]int32, n-len(sq.regSrc))...)
+			sq.regDst = append(sq.regDst, make([]bool, n-len(sq.regDst))...)
+		}
+		sq.regs = append(sq.regs, l.Reg)
+		return
+	}
+	if n := int(temp) + 1; n > len(sq.slotSrc) {
+		sq.slotSrc = append(sq.slotSrc, make([]int32, n-len(sq.slotSrc))...)
+		sq.slotDst = append(sq.slotDst, make([]bool, n-len(sq.slotDst))...)
+	}
+	sq.temps = append(sq.temps, temp)
+}
+
+// src returns the pending-source count of l, an endpoint of temp's
+// transfer.
+func (sq *Sequencer) src(l Loc, temp ir.Temp) *int32 {
+	if l.Kind == LocReg {
+		return &sq.regSrc[l.Reg]
+	}
+	return &sq.slotSrc[temp]
+}
+
+// dst returns the destination mark of l, an endpoint of temp's transfer.
+func (sq *Sequencer) dst(l Loc, temp ir.Temp) *bool {
+	if l.Kind == LocReg {
+		return &sq.regDst[l.Reg]
+	}
+	return &sq.slotDst[temp]
+}
+
+// reset clears every mark the last call touched.
+func (sq *Sequencer) reset() {
+	for _, r := range sq.regs {
+		sq.regSrc[r], sq.regDst[r] = 0, false
+	}
+	for _, t := range sq.temps {
+		sq.slotSrc[t], sq.slotDst[t] = 0, false
+	}
+	sq.regs, sq.temps = sq.regs[:0], sq.temps[:0]
+}
+
 // Sequence orders the transfers and emits the corresponding instructions.
 // SlotFor must return the spill slot of a temporary; it is consulted only
-// when a register cycle must be broken through memory and the cycle's
-// chosen temporary has a slot endpoint already or needs its home slot.
-func Sequence(ts []Transfer, scratch ScratchFunc, slotFor func(ir.Temp) int, tags Tags) []ir.Instr {
-	if len(ts) == 0 {
-		return nil
-	}
-	pending := make([]Transfer, len(ts))
-	copy(pending, ts)
-	// Validate uniqueness of sources and destinations: the allocator
-	// guarantees one location holds one value and one transfer per temp.
-	srcCount := make(map[Loc]int, len(pending))
-	dstSeen := make(map[Loc]bool, len(pending))
-	for _, t := range pending {
+// when a register cycle must be broken through memory. The returned code
+// is freshly allocated and owned by the caller.
+func (sq *Sequencer) Sequence(ts []Transfer, scratch ScratchFunc, slotFor func(ir.Temp) int, tags Tags) []ir.Instr {
+	defer sq.reset()
+	// Drop no-op transfers, and validate uniqueness of destinations: the
+	// allocator guarantees one location holds one value and one transfer
+	// per temp.
+	pending := sq.pending[:0]
+	for _, t := range ts {
 		if t.Src == t.Dst {
 			continue
 		}
-		srcCount[t.Src]++
-		if dstSeen[t.Dst] {
-			panic(fmt.Sprintf("moves: duplicate destination %v", t.Dst))
+		if t.Src.Kind == LocSlot && t.Dst.Kind == LocSlot {
+			panic("moves: slot-to-slot transfer")
 		}
-		dstSeen[t.Dst] = true
+		sq.touch(t.Src, t.Temp)
+		sq.touch(t.Dst, t.Temp)
+		*sq.src(t.Src, t.Temp)++
+		if d := sq.dst(t.Dst, t.Temp); *d {
+			panic(fmt.Sprintf("moves: duplicate destination %v", t.Dst))
+		} else {
+			*d = true
+		}
+		pending = append(pending, t)
+	}
+	sq.pending = pending
+	if len(pending) == 0 {
+		return nil
 	}
 
-	var out []ir.Instr
+	// Each transfer emits one instruction, and each register cycle one
+	// more. Size the output and its operands for at most one cycle, the
+	// common case; more grow them.
+	n := len(pending) + 1
+	out := make([]ir.Instr, 0, n)
+	ops := make([]ir.Operand, 0, 2*n)
+	operands := func(o ...ir.Operand) []ir.Operand {
+		i := len(ops)
+		ops = append(ops, o...)
+		return ops[i:len(ops):len(ops)]
+	}
 	emit := func(t Transfer) {
 		switch {
 		case t.Src.Kind == LocSlot && t.Dst.Kind == LocReg:
 			out = append(out, ir.Instr{
 				Op:   ir.SpillLd,
 				Tag:  tags.Load,
-				Defs: []ir.Operand{ir.RegOp(t.Dst.Reg)},
-				Uses: []ir.Operand{ir.SlotOp(t.Src.Slot, t.Temp)},
+				Defs: operands(ir.RegOp(t.Dst.Reg)),
+				Uses: operands(ir.SlotOp(t.Src.Slot, t.Temp)),
 			})
 		case t.Src.Kind == LocReg && t.Dst.Kind == LocSlot:
 			out = append(out, ir.Instr{
 				Op:   ir.SpillSt,
 				Tag:  tags.Store,
-				Uses: []ir.Operand{ir.RegOp(t.Src.Reg), ir.SlotOp(t.Dst.Slot, t.Temp)},
+				Uses: operands(ir.RegOp(t.Src.Reg), ir.SlotOp(t.Dst.Slot, t.Temp)),
 			})
-		case t.Src.Kind == LocReg && t.Dst.Kind == LocReg:
+		default: // register to register
 			op := ir.Mov
 			if t.Class == target.ClassFloat {
 				op = ir.FMov
@@ -120,33 +201,22 @@ func Sequence(ts []Transfer, scratch ScratchFunc, slotFor func(ir.Temp) int, tag
 			out = append(out, ir.Instr{
 				Op:   op,
 				Tag:  tags.Move,
-				Defs: []ir.Operand{ir.RegOp(t.Dst.Reg)},
-				Uses: []ir.Operand{ir.RegOp(t.Src.Reg)},
+				Defs: operands(ir.RegOp(t.Dst.Reg)),
+				Uses: operands(ir.RegOp(t.Src.Reg)),
 			})
-		default:
-			panic("moves: slot-to-slot transfer")
 		}
 	}
-
-	// Drop no-op transfers.
-	live := pending[:0]
-	for _, t := range pending {
-		if t.Src != t.Dst {
-			live = append(live, t)
-		}
-	}
-	pending = live
 
 	for len(pending) > 0 {
 		progressed := false
 		for i := 0; i < len(pending); {
 			t := pending[i]
-			if srcCount[t.Dst] > 0 {
+			if *sq.src(t.Dst, t.Temp) > 0 {
 				i++
 				continue // destination still feeds another transfer
 			}
 			emit(t)
-			srcCount[t.Src]--
+			*sq.src(t.Src, t.Temp)--
 			pending[i] = pending[len(pending)-1]
 			pending = pending[:len(pending)-1]
 			progressed = true
@@ -161,20 +231,19 @@ func Sequence(ts []Transfer, scratch ScratchFunc, slotFor func(ir.Temp) int, tag
 		if t.Src.Kind != LocReg || t.Dst.Kind != LocReg {
 			panic(fmt.Sprintf("moves: non-register cycle through %v -> %v", t.Src, t.Dst))
 		}
+		var via Loc
 		if r, ok := scratch(t.Class); ok {
 			// Copy the cycle member aside, redirect its transfer.
-			emit(Transfer{Temp: t.Temp, Class: t.Class, Src: t.Src, Dst: RegLoc(r)})
-			srcCount[t.Src]--
-			srcCount[RegLoc(r)]++
-			pending[0].Src = RegLoc(r)
+			via = RegLoc(r)
 		} else {
 			// Break through the temporary's own spill slot.
-			slot := slotFor(t.Temp)
-			emit(Transfer{Temp: t.Temp, Class: t.Class, Src: t.Src, Dst: SlotLoc(slot)})
-			srcCount[t.Src]--
-			srcCount[SlotLoc(slot)]++
-			pending[0].Src = SlotLoc(slot)
+			via = SlotLoc(slotFor(t.Temp))
 		}
+		emit(Transfer{Temp: t.Temp, Class: t.Class, Src: t.Src, Dst: via})
+		sq.touch(via, t.Temp)
+		*sq.src(t.Src, t.Temp)--
+		*sq.src(via, t.Temp)++
+		pending[0].Src = via
 	}
 	return out
 }

@@ -53,7 +53,7 @@ func checkTransfers(t *testing.T, ts []Transfer, scratch ScratchFunc) {
 		init[tr.Src] = i + 1
 	}
 	slotFor := func(tmp ir.Temp) int { return 100 + int(tmp) }
-	code := Sequence(ts, scratch, slotFor, tags)
+	code := new(Sequencer).Sequence(ts, scratch, slotFor, tags)
 	final := simulate(init, code)
 	for i, tr := range ts {
 		if final[tr.Dst] != i+1 {
@@ -96,7 +96,7 @@ func TestSwapWithoutScratchGoesThroughMemory(t *testing.T) {
 		{Temp: 0, Src: reg(0), Dst: reg(1)},
 		{Temp: 1, Src: reg(1), Dst: reg(0)},
 	}
-	code := Sequence(ts, noScratch, func(tmp ir.Temp) int { return 100 + int(tmp) }, tags)
+	code := new(Sequencer).Sequence(ts, noScratch, func(tmp ir.Temp) int { return 100 + int(tmp) }, tags)
 	hasStore := false
 	for i := range code {
 		if code[i].Op == ir.SpillSt {
@@ -130,7 +130,7 @@ func TestSharedSource(t *testing.T) {
 	// One register feeds both a move and a store (the resolution phase's
 	// consistency-store case).
 	init := map[Loc]int{reg(0): 7}
-	code := Sequence([]Transfer{
+	code := new(Sequencer).Sequence([]Transfer{
 		{Temp: 0, Src: reg(0), Dst: reg(1)},
 		{Temp: 0, Src: reg(0), Dst: slot(100)},
 	}, noScratch, func(ir.Temp) int { return 100 }, tags)
@@ -141,7 +141,7 @@ func TestSharedSource(t *testing.T) {
 }
 
 func TestSelfTransferDropped(t *testing.T) {
-	code := Sequence([]Transfer{{Temp: 0, Src: reg(0), Dst: reg(0)}}, noScratch,
+	code := new(Sequencer).Sequence([]Transfer{{Temp: 0, Src: reg(0), Dst: reg(0)}}, noScratch,
 		func(ir.Temp) int { return 100 }, tags)
 	if len(code) != 0 {
 		t.Fatalf("self transfer should emit nothing, got %v", code)
@@ -149,7 +149,7 @@ func TestSelfTransferDropped(t *testing.T) {
 }
 
 func TestTagsApplied(t *testing.T) {
-	code := Sequence([]Transfer{
+	code := new(Sequencer).Sequence([]Transfer{
 		{Temp: 0, Src: slot(100), Dst: reg(0)},
 		{Temp: 1, Src: reg(1), Dst: slot(101)},
 		{Temp: 2, Src: reg(2), Dst: reg(3)},
@@ -174,7 +174,7 @@ func TestTagsApplied(t *testing.T) {
 }
 
 func TestFloatClassUsesFMov(t *testing.T) {
-	code := Sequence([]Transfer{
+	code := new(Sequencer).Sequence([]Transfer{
 		{Temp: 0, Class: target.ClassFloat, Src: reg(10), Dst: reg(11)},
 	}, noScratch, func(ir.Temp) int { return 0 }, tags)
 	if len(code) != 1 || code[0].Op != ir.FMov {
@@ -197,7 +197,7 @@ func TestMemoryMemoryChain(t *testing.T) {
 // general (no addressing mode for it), but the degenerate self case is
 // a no-op and must be dropped before that check fires.
 func TestSlotSelfTransferDropped(t *testing.T) {
-	code := Sequence([]Transfer{{Temp: 0, Src: slot(100), Dst: slot(100)}}, noScratch,
+	code := new(Sequencer).Sequence([]Transfer{{Temp: 0, Src: slot(100), Dst: slot(100)}}, noScratch,
 		func(ir.Temp) int { return 100 }, tags)
 	if len(code) != 0 {
 		t.Fatalf("slot self transfer should emit nothing, got %v", code)
@@ -212,7 +212,7 @@ func TestFloatCycleThroughMemory(t *testing.T) {
 		{Temp: 0, Class: target.ClassFloat, Src: reg(10), Dst: reg(11)},
 		{Temp: 1, Class: target.ClassFloat, Src: reg(11), Dst: reg(10)},
 	}
-	code := Sequence(ts, noScratch, func(tmp ir.Temp) int { return 100 + int(tmp) }, tags)
+	code := new(Sequencer).Sequence(ts, noScratch, func(tmp ir.Temp) int { return 100 + int(tmp) }, tags)
 	sawStore := false
 	for i := range code {
 		switch code[i].Op {
@@ -237,7 +237,7 @@ func TestDuplicateDestinationPanics(t *testing.T) {
 			t.Fatal("duplicate destination did not panic")
 		}
 	}()
-	Sequence([]Transfer{
+	new(Sequencer).Sequence([]Transfer{
 		{Temp: 0, Src: reg(0), Dst: reg(2)},
 		{Temp: 1, Src: reg(1), Dst: reg(2)},
 	}, noScratch, func(ir.Temp) int { return 100 }, tags)
@@ -251,7 +251,7 @@ func TestSlotToSlotPanics(t *testing.T) {
 			t.Fatal("slot-to-slot transfer did not panic")
 		}
 	}()
-	Sequence([]Transfer{{Temp: 0, Src: slot(100), Dst: slot(101)}}, noScratch,
+	new(Sequencer).Sequence([]Transfer{{Temp: 0, Src: slot(100), Dst: slot(101)}}, noScratch,
 		func(ir.Temp) int { return 100 }, tags)
 }
 
@@ -286,5 +286,34 @@ func TestRandomPermutations(t *testing.T) {
 			scratch = func(target.Class) (target.Reg, bool) { return target.Reg(99), true }
 		}
 		checkTransfers(t, ts, scratch)
+	}
+}
+
+// TestSequencerReusableAfterPanic: a rejected transfer set leaves marks
+// half-built when the panic unwinds; the Sequencer must still reset
+// them, so its next call sees clean state.
+func TestSequencerReusableAfterPanic(t *testing.T) {
+	var sq Sequencer
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("duplicate destination did not panic")
+			}
+		}()
+		sq.Sequence([]Transfer{
+			{Temp: 0, Src: slot(100), Dst: reg(1)},
+			{Temp: 1, Src: reg(2), Dst: reg(3)},
+			{Temp: 2, Src: reg(4), Dst: reg(3)},
+		}, noScratch, func(tmp ir.Temp) int { return 100 + int(tmp) }, tags)
+	}()
+	// Stale source counts on slot100 or r2 would stall these chains.
+	ts := []Transfer{
+		{Temp: 0, Src: reg(1), Dst: slot(100)},
+		{Temp: 1, Src: reg(3), Dst: reg(2)},
+	}
+	init := map[Loc]int{reg(1): 1, reg(3): 2}
+	final := simulate(init, sq.Sequence(ts, noScratch, func(tmp ir.Temp) int { return 100 + int(tmp) }, tags))
+	if final[slot(100)] != 1 || final[reg(2)] != 2 {
+		t.Fatalf("sequencer reused after a panic: %v", final)
 	}
 }
