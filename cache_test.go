@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/progs"
 )
@@ -45,7 +46,7 @@ func TestCacheKeyDeterminism(t *testing.T) {
 		WithPeephole(false),
 		WithForwardStores(true),
 		WithBinpack(func() BinpackOptions {
-			o := DefaultOptions().Binpack
+			o := core.DefaultOptions()
 			o.MoveOpt = false
 			return o
 		}()),

@@ -33,19 +33,6 @@ type clusterBench struct {
 	// WarmHitRate is the hot-set replay's cache-hit fraction.
 	WarmHitRate float64 `json:"warm_hit_rate"`
 
-	// Binary wire-form duel: the warm hot set replayed through the
-	// default binary client (application/x-lsra-ir bodies, no server-side
-	// text parse) and through a JSON-only client, best mean of several
-	// alternating rounds. BinarySpeedup = JSONNsPerRequest /
-	// BinaryNsPerRequest.
-	BinaryNsPerRequest int64   `json:"binary_ns_per_request"`
-	JSONNsPerRequest   int64   `json:"json_ns_per_request"`
-	BinarySpeedup      float64 `json:"binary_speedup"`
-	// BinaryRequests/JSONFallbacks are the binary client's transport
-	// counters over the duel (fallbacks must be zero against this fleet).
-	BinaryRequests uint64 `json:"binary_requests"`
-	JSONFallbacks  uint64 `json:"json_fallbacks"`
-
 	// Tail latency against a cluster with one slow node (fixed injected
 	// stall on its allocate path), same warm workload, with and without
 	// hedging. The win is UnhedgedP99Ns / HedgedP99Ns.
@@ -185,44 +172,6 @@ func runClusterBench(machine string) (*clusterBench, error) {
 	}
 	out.WarmNsPerRequest = warmTotal.Nanoseconds() / int64(len(warmLats))
 	out.WarmHitRate = float64(warmHits) / float64(len(hot))
-
-	// Binary wire duel over the warm hot set: every owner already holds
-	// the results, so the two clients differ only in transport — the
-	// JSON client makes the server parse program text, the binary client
-	// ships pre-parsed irbin frames. Alternating best-of rounds absorb
-	// scheduler noise on a small host.
-	binCl := c.Client(cluster.ClientConfig{MaxAttempts: nodes})
-	jsonCl := c.Client(cluster.ClientConfig{MaxAttempts: nodes, DisableBinary: true})
-	bestMean := func(cur int64, lats []time.Duration) int64 {
-		var total time.Duration
-		for _, d := range lats {
-			total += d
-		}
-		mean := total.Nanoseconds() / int64(len(lats))
-		if cur == 0 || mean < cur {
-			return mean
-		}
-		return cur
-	}
-	const wireRounds = 5
-	for r := 0; r < wireRounds; r++ {
-		jl, _, err := replayCluster(jsonCl, machine, hot)
-		if err != nil {
-			return nil, err
-		}
-		out.JSONNsPerRequest = bestMean(out.JSONNsPerRequest, jl)
-		bl, _, err := replayCluster(binCl, machine, hot)
-		if err != nil {
-			return nil, err
-		}
-		out.BinaryNsPerRequest = bestMean(out.BinaryNsPerRequest, bl)
-	}
-	if out.BinaryNsPerRequest > 0 {
-		out.BinarySpeedup = float64(out.JSONNsPerRequest) / float64(out.BinaryNsPerRequest)
-	}
-	bst := binCl.Stats()
-	out.BinaryRequests = bst.BinaryRequests
-	out.JSONFallbacks = bst.JSONFallbacks
 
 	// Cost-aware admission under the default bar: a single-node probe
 	// sees the same distinct programs and decides, per entry, whether

@@ -491,10 +491,6 @@ func printText(out *benchOutput) {
 			cb.ColdNsPerRequest, cb.WarmNsPerRequest, cb.WarmHitRate, cb.RestartWarmHitRate)
 		fmt.Printf("  persist admission (default bar): %d admitted, %d rejected as too cheap\n",
 			cb.PersistAdmitted, cb.PersistRejectedCost)
-		fmt.Printf("  binary wire form (warm hot set): json %v/req -> binary %v/req (%.2fx, %d binary posts, %d fallbacks)\n",
-			time.Duration(cb.JSONNsPerRequest).Round(time.Microsecond),
-			time.Duration(cb.BinaryNsPerRequest).Round(time.Microsecond),
-			cb.BinarySpeedup, cb.BinaryRequests, cb.JSONFallbacks)
 		fmt.Printf("  hedging vs one node stalled %v: p50 %v -> %v, p99 %v -> %v (%.1fx at p99, %d hedge wins)\n",
 			time.Duration(cb.StallNs),
 			time.Duration(cb.UnhedgedP50Ns).Round(time.Microsecond), time.Duration(cb.HedgedP50Ns).Round(time.Microsecond),

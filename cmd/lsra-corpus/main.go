@@ -70,7 +70,6 @@ func runGen(args []string) error {
 		machine  = fs.String("machine", "alpha", "machine the generator shapes programs for")
 		shards   = fs.Int("shards", 1, "shard-set member count (1 = single file)")
 		jobs     = fs.Int("jobs", runtime.GOMAXPROCS(0), "parallel generator goroutines")
-		workers  = fs.Int("workers", 0, "deprecated alias for -jobs")
 	)
 	fs.Parse(args)
 	mach, err := regalloc.ParseMachine(*machine)
@@ -80,9 +79,6 @@ func runGen(args []string) error {
 	var names []string
 	if *profiles != "all" {
 		names = strings.Split(*profiles, ",")
-	}
-	if *workers > 0 {
-		*jobs = *workers
 	}
 	err = corpus.Generate(*out, corpus.GenOptions{
 		Count:    *n,

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/ir"
 	"repro/internal/progs"
 )
@@ -72,7 +73,8 @@ func TestEngineConformDetectsDivergence(t *testing.T) {
 	var regErr error
 	registerSkewedOnce.Do(func() {
 		regErr = Register("skewed", func(m *Machine) Allocator {
-			return skewedAllocator{inner: NewAllocator(m, DefaultOptions())}
+			binpack, _ := alloc.Lookup("binpack")
+			return skewedAllocator{inner: binpack(m)}
 		})
 	})
 	if regErr != nil {

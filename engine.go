@@ -219,7 +219,7 @@ func New(mach *Machine, opts ...Option) (*Engine, error) {
 	}
 	e := &Engine{
 		mach:        mach,
-		algorithm:   SecondChance.Name(),
+		algorithm:   "binpack",
 		dce:         true,
 		peephole:    true,
 		verify:      true,

@@ -1,6 +1,7 @@
 package regalloc_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -8,8 +9,20 @@ import (
 	"testing"
 
 	regalloc "repro"
+	"repro/internal/alloc"
+	"repro/internal/core"
 	"repro/internal/progs"
 )
+
+// binpackAllocator returns a fresh instance of the registered
+// second-chance binpacking allocator, for wrappers that delegate to it.
+func binpackAllocator(m *regalloc.Machine) regalloc.Allocator {
+	f, ok := alloc.Lookup("binpack")
+	if !ok {
+		panic("binpack allocator not registered")
+	}
+	return f(m)
+}
 
 // dumpProgram renders every allocated procedure, for byte-for-byte
 // determinism comparisons.
@@ -53,7 +66,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 	var calls atomic.Int64
 	err := regalloc.Register("test-counting", func(m *regalloc.Machine) regalloc.Allocator {
 		return &countingAllocator{
-			Allocator: regalloc.NewAllocator(m, regalloc.DefaultOptions()),
+			Allocator: binpackAllocator(m),
 			calls:     &calls,
 		}
 	})
@@ -132,7 +145,7 @@ func (o *ownedCounting) AllocateOwned(p *regalloc.Proc, lv *regalloc.Liveness) (
 // handing it liveness shaped for the procedure it receives.
 func TestExternalOwnedAllocator(t *testing.T) {
 	mach := regalloc.Alpha()
-	a := &ownedCounting{inner: regalloc.NewAllocator(mach, regalloc.DefaultOptions()).(regalloc.OwnedAllocator)}
+	a := &ownedCounting{inner: binpackAllocator(mach).(regalloc.OwnedAllocator)}
 	if err := regalloc.Register("test-owned", func(*regalloc.Machine) regalloc.Allocator { return a }); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +202,8 @@ func TestEngineOptionApplication(t *testing.T) {
 		t.Fatal("Machine() does not return the construction machine")
 	}
 
-	// Defaults match the legacy DefaultOptions pipeline byte for byte.
+	// Defaults match the paper's pipeline spelled out option by option,
+	// byte for byte.
 	defEng, err := regalloc.New(mach, regalloc.WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
@@ -198,12 +212,19 @@ func TestEngineOptionApplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantProg, _, err := regalloc.AllocateProgram(prog, mach, regalloc.DefaultOptions())
+	paperEng, err := regalloc.New(mach,
+		regalloc.WithAlgorithm("binpack"), regalloc.WithBinpack(core.DefaultOptions()),
+		regalloc.WithDCE(true), regalloc.WithPeephole(true), regalloc.WithForwardStores(false),
+		regalloc.WithVerify(true), regalloc.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantProg, _, err := paperEng.AllocateProgram(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dumpProgram(gotProg, mach) != dumpProgram(wantProg, mach) {
-		t.Fatal("default engine and legacy DefaultOptions pipeline disagree")
+		t.Fatal("default engine and the explicitly configured paper pipeline disagree")
 	}
 
 	// WithPeephole(false) leaves collapsed moves in place: the dump must
@@ -222,10 +243,10 @@ func TestEngineOptionApplication(t *testing.T) {
 	}
 
 	// WithBinpack is honored: on a spill-heavy workload the strict-linear
-	// variant must match the legacy pipeline configured the same way,
-	// and differ from the engine's default configuration.
+	// variant must still compute the program's result and differ from
+	// the engine's default configuration.
 	spilly := progs.Named("fpppp").Build(mach, 1)
-	strictOpts := regalloc.DefaultOptions().Binpack
+	strictOpts := core.DefaultOptions()
 	strictOpts.StrictLinear = true
 	strictEng, err := regalloc.New(mach, regalloc.WithBinpack(strictOpts), regalloc.WithParallelism(1))
 	if err != nil {
@@ -235,14 +256,16 @@ func TestEngineOptionApplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyOpts := regalloc.DefaultOptions()
-	legacyOpts.Binpack = strictOpts
-	legacyStrict, _, err := regalloc.AllocateProgram(spilly, mach, legacyOpts)
+	want, err := regalloc.Execute(spilly, mach, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dumpProgram(strictProg, mach) != dumpProgram(legacyStrict, mach) {
-		t.Fatal("WithBinpack(strict) disagrees with the equivalent legacy Options")
+	got, err := regalloc.ExecuteParanoid(strictProg, mach, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Output, want.Output) || got.RetValue != want.RetValue {
+		t.Fatal("WithBinpack(strict) changed the program's result")
 	}
 	defSpilly, _, err := defEng.AllocateProgram(context.Background(), spilly)
 	if err != nil {
@@ -524,60 +547,17 @@ func TestEngineContextCancellation(t *testing.T) {
 	}
 }
 
-// TestLegacyWrappersStillWork pins the deprecated free functions to the
-// engine results.
-func TestLegacyWrappersStillWork(t *testing.T) {
-	mach := regalloc.Tiny(8, 4)
-	prog := progs.Random(mach, progs.DefaultGen(3))
-	for _, algo := range []regalloc.Algorithm{
-		regalloc.SecondChance, regalloc.TwoPass, regalloc.Coloring, regalloc.LinearScan,
-	} {
-		opts := regalloc.DefaultOptions()
-		opts.Algorithm = algo
-		legacyProg, results, err := regalloc.AllocateProgram(prog, mach, opts)
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if len(results) != len(prog.Procs) {
-			t.Fatalf("%v: %d results for %d procs", algo, len(results), len(prog.Procs))
-		}
-		eng, err := regalloc.New(mach,
-			regalloc.WithAlgorithm(algo.Name()), regalloc.WithParallelism(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		engProg, _, err := eng.AllocateProgram(context.Background(), prog)
-		if err != nil {
-			t.Fatalf("%v engine: %v", algo, err)
-		}
-		if dumpProgram(legacyProg, mach) != dumpProgram(engProg, mach) {
-			t.Fatalf("%v: legacy wrapper and engine disagree", algo)
-		}
-		if a := regalloc.NewAllocator(mach, opts); a == nil {
-			t.Fatalf("%v: NewAllocator returned nil", algo)
-		}
-		res, err := regalloc.AllocateProc(prog.Procs[0], mach, opts)
-		if err != nil || res == nil {
-			t.Fatalf("%v: AllocateProc: %v", algo, err)
-		}
-	}
-}
-
+// TestAlgorithmNames checks the engine accepts every built-in
+// allocator by its registry name and reports it back.
 func TestAlgorithmNames(t *testing.T) {
-	for _, tc := range []struct {
-		a    regalloc.Algorithm
-		want string
-	}{
-		{regalloc.SecondChance, "binpack"},
-		{regalloc.TwoPass, "twopass"},
-		{regalloc.Coloring, "coloring"},
-		{regalloc.LinearScan, "linearscan"},
-	} {
-		if got := tc.a.Name(); got != tc.want {
-			t.Errorf("%v.Name() = %q, want %q", tc.a, got, tc.want)
+	for _, name := range []string{"binpack", "twopass", "coloring", "linearscan"} {
+		eng, err := regalloc.New(regalloc.Alpha(), regalloc.WithAlgorithm(name))
+		if err != nil {
+			t.Errorf("engine rejects built-in %q: %v", name, err)
+			continue
 		}
-		if _, err := regalloc.New(regalloc.Alpha(), regalloc.WithAlgorithm(tc.a.Name())); err != nil {
-			t.Errorf("engine rejects built-in %q: %v", tc.want, err)
+		if got := eng.Algorithm(); got != name {
+			t.Errorf("WithAlgorithm(%q).Algorithm() = %q", name, got)
 		}
 	}
 }

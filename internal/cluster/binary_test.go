@@ -1,27 +1,28 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
+	"repro/internal/ir"
 	"repro/internal/serve"
+	"repro/internal/target"
 )
 
-// TestBinaryTransportRoundTrip drives the default (binary) wire form
+// TestBinaryTransportRoundTrip drives the client's binary wire form
 // against live serve nodes and checks the answers are byte-identical
-// to the JSON form on the same cluster — the two arms share the engine,
-// so any drift is a codec bug. Concurrent clients keep the test
-// meaningful under -race.
+// to posting the JSON form straight to each program's owner — the two
+// arms share the engine, so any drift is a codec bug. Concurrent
+// clients keep the test meaningful under -race.
 func TestBinaryTransportRoundTrip(t *testing.T) {
 	c := startCluster(t, 2, NodeConfig{})
-	bin := c.Client(ClientConfig{MaxAttempts: 2})
-	txt := c.Client(ClientConfig{MaxAttempts: 2, DisableBinary: true})
+	cl := c.Client(ClientConfig{MaxAttempts: 2})
+	ring := mirrorRing(c.URLs())
 
 	jobs := testJobs(t, 12)
 	var wg sync.WaitGroup
@@ -30,7 +31,7 @@ func TestBinaryTransportRoundTrip(t *testing.T) {
 		wg.Add(1)
 		go func(i int, text string) {
 			defer wg.Done()
-			resp, _, err := bin.Allocate(context.Background(), serve.AllocateRequest{Machine: testMachine, Program: text})
+			resp, _, err := cl.Allocate(context.Background(), serve.AllocateRequest{Machine: testMachine, Program: text})
 			if err != nil {
 				t.Errorf("binary allocate %d: %v", i, err)
 				return
@@ -45,101 +46,107 @@ func TestBinaryTransportRoundTrip(t *testing.T) {
 	wg.Wait()
 
 	for i, j := range jobs {
-		resp, _, err := txt.Allocate(context.Background(), serve.AllocateRequest{Machine: testMachine, Program: j.Text})
+		body, err := json.Marshal(serve.AllocateRequest{Machine: testMachine, Program: j.Text})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hresp, err := http.Post(ring.Owner(jobKey(j))+"/allocate", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatalf("json allocate %d: %v", i, err)
+		}
+		var resp serve.AllocateResponse
+		err = json.NewDecoder(hresp.Body).Decode(&resp)
+		hresp.Body.Close()
+		if err != nil || hresp.StatusCode != http.StatusOK || len(resp.Results) != 1 {
+			t.Fatalf("json allocate %d: status %d, %v", i, hresp.StatusCode, err)
 		}
 		if got := resp.Results[0].Program; got != out[i] {
 			t.Fatalf("program %d: binary and JSON wire forms disagree:\nbinary:\n%s\njson:\n%s", i, out[i], got)
 		}
 	}
 
-	bs, ts := bin.Stats(), txt.Stats()
-	if bs.BinaryRequests == 0 {
-		t.Fatalf("binary client sent no binary requests: %+v", bs)
-	}
-	if bs.JSONFallbacks != 0 {
-		t.Fatalf("binary client fell back against a binary-capable node: %+v", bs)
-	}
-	if ts.BinaryRequests != 0 {
-		t.Fatalf("DisableBinary client sent binary requests: %+v", ts)
+	if st := cl.Stats(); st.BinaryRequests < uint64(len(jobs)) {
+		t.Fatalf("client posted %d binary requests for %d programs: %+v", st.BinaryRequests, len(jobs), st)
 	}
 }
 
-// TestBinaryFallbackOn415 simulates an older node without the binary
-// arm: the first binary post gets 415, the client demotes the node to
-// JSON for its lifetime and repeats the same request as JSON, and
-// later requests skip binary entirely.
-func TestBinaryFallbackOn415(t *testing.T) {
-	var mu sync.Mutex
-	var binaryPosts, jsonPosts int
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		defer mu.Unlock()
-		if strings.HasPrefix(r.Header.Get("Content-Type"), serve.ContentTypeBinaryIR) {
-			binaryPosts++
-			w.WriteHeader(http.StatusUnsupportedMediaType)
-			json.NewEncoder(w).Encode(serve.ErrorResponse{Error: "unsupported media type"})
-			return
-		}
-		jsonPosts++
-		var req serve.AllocateRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			w.WriteHeader(http.StatusBadRequest)
-			return
-		}
-		json.NewEncoder(w).Encode(serve.AllocateResponse{
-			Machine: req.Machine,
-			Results: []serve.AllocatedProgram{{Program: "ok"}},
-		})
-	}))
-	defer ts.Close()
+// nodeRequestTotal sums every node's /allocate request counter.
+func nodeRequestTotal(c *Cluster) uint64 {
+	var total uint64
+	for _, ni := range c.Topology() {
+		total += c.Node(ni.Name).Server().Metrics().Requests.Total
+	}
+	return total
+}
 
-	cl := NewClient(ClientConfig{Nodes: []string{ts.URL}, DownCooldown: time.Millisecond})
+// TestUnparsableProgramRejectedLocally: a program or machine spec the
+// client cannot parse would fail identically on every node, so the
+// client returns the parse error itself and contacts no node.
+func TestUnparsableProgramRejectedLocally(t *testing.T) {
+	c := startCluster(t, 2, NodeConfig{})
+	cl := c.Client(ClientConfig{})
+
+	const bad = "this is not a program"
+	mach, err := target.Parse(testMachine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, parseErr := ir.ParseProgramString(bad, mach)
+	if parseErr == nil {
+		t.Fatal("test program unexpectedly parses")
+	}
+	_, _, err = cl.Allocate(context.Background(), serve.AllocateRequest{Machine: testMachine, Program: bad})
+	if err == nil {
+		t.Fatal("unparsable program allocated")
+	}
+	if !strings.Contains(err.Error(), parseErr.Error()) {
+		t.Fatalf("error %q does not name the parse failure %q", err, parseErr)
+	}
+
 	job := testJobs(t, 1)[0]
-	req := serve.AllocateRequest{Machine: testMachine, Program: job.Text}
-
-	for i := 0; i < 3; i++ {
-		resp, _, err := cl.Allocate(context.Background(), req)
-		if err != nil {
-			t.Fatalf("allocate %d: %v", i, err)
-		}
-		if resp.Results[0].Program != "ok" {
-			t.Fatalf("allocate %d: unexpected result %q", i, resp.Results[0].Program)
-		}
+	if _, _, err := cl.Allocate(context.Background(), serve.AllocateRequest{Machine: "no-such-machine", Program: job.Text}); err == nil {
+		t.Fatal("unknown machine spec accepted")
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	if binaryPosts != 1 {
-		t.Fatalf("%d binary posts, want exactly 1 (node demoted after the 415)", binaryPosts)
+	st := cl.Stats()
+	if st.Failovers != 0 || st.BinaryRequests != 0 || st.Errors != 2 {
+		t.Fatalf("local rejections touched the fleet: %+v", st)
 	}
-	if jsonPosts != 3 {
-		t.Fatalf("%d JSON posts, want 3", jsonPosts)
+	if n := nodeRequestTotal(c); n != 0 {
+		t.Fatalf("nodes saw %d /allocate requests, want 0", n)
+	}
+}
+
+// TestRejectedRequestIsFinal: a 4xx other than 429 says the request is
+// at fault, not the node, so the client neither fails over nor takes
+// the node out of rotation — the next request still reaches its owner.
+func TestRejectedRequestIsFinal(t *testing.T) {
+	c := startCluster(t, 3, NodeConfig{})
+	cl := c.Client(ClientConfig{MaxAttempts: 3})
+	job := testJobs(t, 1)[0]
+
+	_, _, err := cl.Allocate(context.Background(), serve.AllocateRequest{
+		Machine: testMachine, Algorithm: "no-such-allocator", Program: job.Text,
+	})
+	if err == nil {
+		t.Fatal("unknown algorithm allocated")
+	}
+	if !strings.Contains(err.Error(), "status 400") || !strings.Contains(err.Error(), "no-such-allocator") {
+		t.Fatalf("want the server's 400 naming the algorithm, got: %v", err)
 	}
 	st := cl.Stats()
-	if st.JSONFallbacks != 1 || st.BinaryRequests != 1 {
-		t.Fatalf("stats: %+v, want 1 binary request and 1 fallback", st)
+	if st.Failovers != 0 || st.Errors != 1 {
+		t.Fatalf("a 4xx counted as node failure: %+v", st)
 	}
-	if st.Errors != 0 || st.Failovers != 0 {
-		t.Fatalf("415 fallback must not count as node failure: %+v", st)
+	if n := nodeRequestTotal(c); n != 1 {
+		t.Fatalf("nodes saw %d /allocate requests, want exactly the owner's 1", n)
 	}
-}
 
-// TestBinaryUnparsableFallsBackToJSON: a program the client cannot
-// parse travels as JSON so the server's parser reports the error, and
-// no binary request is attempted for it.
-func TestBinaryUnparsableFallsBackToJSON(t *testing.T) {
-	c := startCluster(t, 1, NodeConfig{})
-	cl := c.Client(ClientConfig{})
-	_, _, err := cl.Allocate(context.Background(), serve.AllocateRequest{Machine: testMachine, Program: "this is not a program"})
-	if err == nil {
-		t.Fatal("expected a server-side parse error")
+	_, node := allocJob(t, cl, job)
+	if owner := mirrorRing(c.URLs()).Owner(jobKey(job)); node != owner {
+		t.Fatalf("valid request served by %s, want its ring owner %s", node, owner)
 	}
-	if !strings.Contains(err.Error(), "status 400") {
-		t.Fatalf("want the server's 400, got: %v", err)
-	}
-	if st := cl.Stats(); st.BinaryRequests != 0 {
-		t.Fatalf("unparsable program was sent as binary: %+v", st)
+	if st := cl.Stats(); st.Failovers != 0 {
+		t.Fatalf("valid request failed over: %+v", st)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -60,12 +61,6 @@ type ClientConfig struct {
 	// success — the signature of routing against a stale node table
 	// (0 = 3). Meaningful only with TopologyURL.
 	FailoverRefresh int
-	// DisableBinary forces every request onto the JSON wire form. By
-	// default the client parses request programs locally and posts
-	// application/x-lsra-ir bodies (see serve.ContentTypeBinaryIR),
-	// which skips the server's text parser; nodes that answer 415 are
-	// remembered as JSON-only and never sent binary again.
-	DisableBinary bool
 }
 
 // ClientStats counts a Client's routing behavior.
@@ -73,7 +68,9 @@ type ClientStats struct {
 	// Requests counts Allocate calls; Failovers attempts moved to a
 	// successor after a node failed; Hedges hedge copies sent; HedgeWins
 	// hedge copies that answered first; Retries429 re-sends after a
-	// 429 + Retry-After; Errors requests that exhausted every candidate.
+	// 429 + Retry-After; Errors requests that returned an error (every
+	// candidate failed, a node rejected the request with a 4xx, or a
+	// program did not parse locally).
 	Requests   uint64 `json:"requests"`
 	Failovers  uint64 `json:"failovers"`
 	Hedges     uint64 `json:"hedges"`
@@ -83,11 +80,9 @@ type ClientStats struct {
 	// TopologyRefreshes counts successful /topology polls that replaced
 	// the node table (timer-driven and failover-triggered alike).
 	TopologyRefreshes uint64 `json:"topology_refreshes"`
-	// BinaryRequests counts node attempts posted in the binary wire
-	// form (application/x-lsra-ir); JSONFallbacks counts 415 answers
-	// that demoted a node to JSON for the client's lifetime.
+	// BinaryRequests counts node attempts posted, each in the binary
+	// wire form (application/x-lsra-ir).
 	BinaryRequests uint64 `json:"binary_requests"`
-	JSONFallbacks  uint64 `json:"json_fallbacks"`
 }
 
 // Client is the cluster-aware allocation client: consistent-hash
@@ -100,17 +95,16 @@ type Client struct {
 
 	healthMu sync.Mutex
 	downTil  map[string]time.Time
-	jsonOnly map[string]bool // nodes that answered 415 to a binary post
 
 	// machCache memoizes target.Parse per machine spec so the binary
 	// encoder does not re-derive the machine on every request.
 	machMu    sync.Mutex
 	machCache map[string]*target.Machine
 
-	requests, failovers   atomic.Uint64
-	hedges, hedgeWins     atomic.Uint64
-	retries429, errorsCt  atomic.Uint64
-	binaryReqs, jsonFalls atomic.Uint64
+	requests, failovers  atomic.Uint64
+	hedges, hedgeWins    atomic.Uint64
+	retries429, errorsCt atomic.Uint64
+	binaryReqs           atomic.Uint64
 
 	// Topology refresh loop state (nil/inert when TopologyURL is unset).
 	refreshC    chan struct{} // non-blocking kick: poll now
@@ -140,7 +134,6 @@ func NewClient(cfg ClientConfig) *Client {
 		ring:      NewRing(cfg.Vnodes),
 		http:      cfg.HTTPClient,
 		downTil:   map[string]time.Time{},
-		jsonOnly:  map[string]bool{},
 		machCache: map[string]*target.Machine{},
 	}
 	if c.http == nil {
@@ -270,7 +263,6 @@ func (c *Client) Stats() ClientStats {
 		Errors:            c.errorsCt.Load(),
 		TopologyRefreshes: c.refreshes.Load(),
 		BinaryRequests:    c.binaryReqs.Load(),
-		JSONFallbacks:     c.jsonFalls.Load(),
 	}
 }
 
@@ -310,15 +302,12 @@ func (c *Client) candidates(key uint64) []string {
 	return append(healthy, cooling...)
 }
 
-// payload is one request in both wire forms. The JSON body is always
-// present; the binary body (plus the query string that carries what
-// JSON carries inline) exists only when the client could parse every
-// program locally, and an attempt falls back to the JSON form when the
-// node is remembered as JSON-only or answers 415.
+// payload is one request in the fleet's wire form: concatenated
+// irbin frames plus the query string that carries what a JSON
+// envelope would carry inline.
 type payload struct {
-	json   []byte
-	binary []byte // nil: JSON only
-	query  string // "?machine=...&algorithm=..." for the binary form
+	body  []byte
+	query string // "?machine=...&algorithm=...&priority=..."
 }
 
 // machine memoizes target.Parse per spec.
@@ -336,22 +325,21 @@ func (c *Client) machine(spec string) (*target.Machine, error) {
 	return m, nil
 }
 
-// encodeBinary builds the application/x-lsra-ir form of a request:
-// concatenated irbin frames plus the query parameters the binary arm
-// of POST /allocate reads instead of a JSON envelope. Any parse
-// failure returns nil — the server's text parser is the authority on
-// malformed programs, so such requests travel as JSON and get the
-// server's error verbatim.
-func (c *Client) encodeBinary(req *serve.AllocateRequest, texts []string) ([]byte, string) {
+// encode builds the application/x-lsra-ir form of a request. The
+// client parses with the same machine spec and ir.ParseProgramString
+// the server uses, so a machine or program that fails here would fail
+// identically on every node; the error is returned before any node is
+// contacted.
+func (c *Client) encode(req *serve.AllocateRequest, texts []string) (payload, error) {
 	mach, err := c.machine(req.Machine)
 	if err != nil {
-		return nil, ""
+		return payload{}, err
 	}
 	var body []byte
-	for _, text := range texts {
+	for i, text := range texts {
 		prog, err := ir.ParseProgramString(text, mach)
 		if err != nil {
-			return nil, ""
+			return payload{}, fmt.Errorf("program %d: %w", i, err)
 		}
 		body = irbin.AppendProgram(body, prog)
 	}
@@ -363,31 +351,27 @@ func (c *Client) encodeBinary(req *serve.AllocateRequest, texts []string) ([]byt
 	if req.Priority != "" {
 		q.Set("priority", req.Priority)
 	}
-	return body, "?" + q.Encode()
+	return payload{body: body, query: "?" + q.Encode()}, nil
 }
 
 // Allocate routes one request to its owning node, failing over to ring
 // successors on node failure and hedging per ClientConfig. It returns
-// the decoded response and the node that served it. Unless
-// DisableBinary is set, programs the client can parse locally are
-// posted in the binary wire form (application/x-lsra-ir), skipping the
-// server's text parser; a node that answers 415 — an older build
-// without the binary arm — is remembered as JSON-only and the attempt
-// repeats as JSON immediately.
+// the decoded response and the node that served it. Programs are
+// parsed locally and posted in the binary wire form
+// (application/x-lsra-ir); a request that does not parse is rejected
+// here without contacting a node. A 4xx answer other than 429 is the
+// request's final answer: every node would reject it alike, so it
+// neither fails over nor counts against the node's health.
 func (c *Client) Allocate(ctx context.Context, req serve.AllocateRequest) (*serve.AllocateResponse, string, error) {
 	c.requests.Add(1)
 	texts := req.Programs
 	if req.Program != "" {
 		texts = []string{req.Program}
 	}
-	var p payload
-	var err error
-	p.json, err = json.Marshal(&req)
+	p, err := c.encode(&req, texts)
 	if err != nil {
-		return nil, "", err
-	}
-	if !c.cfg.DisableBinary {
-		p.binary, p.query = c.encodeBinary(&req, texts)
+		c.errorsCt.Add(1)
+		return nil, "", fmt.Errorf("cluster: %w", err)
 	}
 	seq := c.candidates(RouteKey(req.Machine, req.Algorithm, texts))
 	if len(seq) == 0 {
@@ -455,7 +439,8 @@ func (c *Client) race(ctx context.Context, seq []string, p payload) (*serve.Allo
 				return res.resp, seq[res.idx], nil
 			}
 			lastErr = fmt.Errorf("node %s: %w", seq[res.idx], res.err)
-			if ctx.Err() != nil {
+			var rejected rejectedError
+			if ctx.Err() != nil || errors.As(res.err, &rejected) {
 				return nil, "", lastErr
 			}
 			c.markDown(seq[res.idx])
@@ -484,45 +469,24 @@ func (c *Client) race(ctx context.Context, seq []string, p payload) (*serve.Allo
 	}
 }
 
-// nodeJSONOnly reports whether a node has been demoted to the JSON
-// wire form by an earlier 415.
-func (c *Client) nodeJSONOnly(node string) bool {
-	c.healthMu.Lock()
-	defer c.healthMu.Unlock()
-	return c.jsonOnly[node]
-}
-
-// markJSONOnly remembers, for the client's lifetime, that a node does
-// not speak the binary wire form.
-func (c *Client) markJSONOnly(node string) {
-	c.healthMu.Lock()
-	c.jsonOnly[node] = true
-	c.healthMu.Unlock()
-}
+// rejectedError is a node's 4xx answer other than 429: the request
+// itself is at fault, so the answer is final rather than a node
+// failure.
+type rejectedError struct{ error }
 
 // attempt posts the request to one node, honoring 429 + Retry-After
 // with bounded backoff: the server's explicit please-wait is respected
 // (capped at MaxRetryAfter) up to Max429Retries times before the
-// attempt counts as failed. When the payload carries a binary form and
-// the node is not known to be JSON-only, the binary form goes first; a
-// 415 demotes the node and re-sends the same request as JSON without
-// consuming a 429 retry.
+// attempt counts as failed. Any other 4xx returns a rejectedError.
 func (c *Client) attempt(ctx context.Context, node string, p payload) (*serve.AllocateResponse, error) {
-	useBinary := p.binary != nil && !c.nodeJSONOnly(node)
 	retries := 0
 	for {
-		body, endpoint, ctype := p.json, node+"/allocate", "application/json"
-		if useBinary {
-			body, endpoint, ctype = p.binary, node+"/allocate"+p.query, serve.ContentTypeBinaryIR
-		}
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint, bytes.NewReader(body))
+		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/allocate"+p.query, bytes.NewReader(p.body))
 		if err != nil {
 			return nil, err
 		}
-		hreq.Header.Set("Content-Type", ctype)
-		if useBinary {
-			c.binaryReqs.Add(1)
-		}
+		hreq.Header.Set("Content-Type", serve.ContentTypeBinaryIR)
+		c.binaryReqs.Add(1)
 		resp, err := c.http.Do(hreq)
 		if err != nil {
 			return nil, err
@@ -539,13 +503,6 @@ func (c *Client) attempt(ctx context.Context, node string, p payload) (*serve.Al
 				return nil, fmt.Errorf("bad response body: %w", err)
 			}
 			return &out, nil
-		case resp.StatusCode == http.StatusUnsupportedMediaType && useBinary:
-			// An older node without the binary arm. Remember that and
-			// repeat this attempt as JSON — the request itself is fine.
-			c.jsonFalls.Add(1)
-			c.markJSONOnly(node)
-			useBinary = false
-			continue
 		case resp.StatusCode == http.StatusTooManyRequests && retries < c.cfg.Max429Retries:
 			retries++
 			c.retries429.Add(1)
@@ -553,13 +510,16 @@ func (c *Client) attempt(ctx context.Context, node string, p payload) (*serve.Al
 				return nil, err
 			}
 			continue
-		default:
-			var e serve.ErrorResponse
-			if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-				return nil, fmt.Errorf("status %d: %s", resp.StatusCode, e.Error)
-			}
-			return nil, fmt.Errorf("status %d", resp.StatusCode)
 		}
+		err = fmt.Errorf("status %d", resp.StatusCode)
+		var e serve.ErrorResponse
+		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
+			err = fmt.Errorf("status %d: %s", resp.StatusCode, e.Error)
+		}
+		if resp.StatusCode/100 == 4 && resp.StatusCode != http.StatusTooManyRequests {
+			return nil, rejectedError{err}
+		}
+		return nil, err
 	}
 }
 

@@ -329,8 +329,9 @@ func Test429RetryAfterHonored(t *testing.T) {
 		Max429Retries: 2,
 		MaxRetryAfter: 60 * time.Millisecond, // cap the 1s header
 	})
+	job := testJobs(t, 1)[0]
 	start := time.Now()
-	_, _, err := cl.Allocate(context.Background(), serve.AllocateRequest{Machine: testMachine, Program: "x"})
+	_, _, err := cl.Allocate(context.Background(), serve.AllocateRequest{Machine: testMachine, Program: job.Text})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("allocate failed despite retry budget: %v", err)
@@ -356,10 +357,11 @@ func Test429BudgetExhausted(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	cl := NewClient(ClientConfig{Nodes: []string{ts.URL}, Max429Retries: 1, MaxRetryAfter: time.Millisecond})
-	if _, _, err := cl.Allocate(context.Background(), serve.AllocateRequest{Machine: testMachine, Program: "x"}); err == nil {
+	job := testJobs(t, 1)[0]
+	if _, _, err := cl.Allocate(context.Background(), serve.AllocateRequest{Machine: testMachine, Program: job.Text}); err == nil {
 		t.Fatal("allocate succeeded against a permanently saturated node")
 	}
-	if st := cl.Stats(); st.Errors != 1 {
-		t.Errorf("Errors = %d, want 1", st.Errors)
+	if st := cl.Stats(); st.Errors != 1 || st.Retries429 != 1 {
+		t.Errorf("Errors = %d, Retries429 = %d, want 1 and 1", st.Errors, st.Retries429)
 	}
 }

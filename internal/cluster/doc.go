@@ -18,7 +18,11 @@
 //     routes each request to its owner, fails over to ring successors
 //     on node loss, honors 429 + Retry-After with bounded backoff, and
 //     optionally hedges slow requests (a second copy to the successor
-//     after HedgeDelay; first answer wins) to cut tail latency.
+//     after HedgeDelay; first answer wins) to cut tail latency. It
+//     parses programs locally and posts them as internal/irbin frames
+//     (the fleet's one wire format); a program that does not parse
+//     never reaches a node, and a 4xx answer other than 429 is final —
+//     the request is at fault, not the node, so it does not fail over.
 //
 //   - Cluster / Node: an in-process supervisor that runs N serve.Server
 //     nodes on real listeners, maintains the ring through node
@@ -26,7 +30,7 @@
 //     successors (on join a node warms from its successor, on leave it
 //     pushes its working set forward, and Replicate runs the same push
 //     on a timer) through the serve layer's /cache/export + /cache/seed
-//     endpoints. cmd/lsra-cluster wraps it as a binary for local
+//     endpoints, which carry diskcache.EncodeBinary entries. cmd/lsra-cluster wraps it as a binary for local
 //     topologies; the tests and lsra-bench -cluster drive it directly.
 //
 // Nodes stay plain lsra-served daemons — the cluster is coordination-

@@ -29,13 +29,6 @@ type Config struct {
 	// DefaultCostFactor; negative admits everything (useful in tests
 	// and for replication-seeded nodes).
 	CostFactor float64
-	// Binary selects the binary entry encoding (EncodeBinary) for new
-	// writes: the program travels as an internal/irbin frame instead of
-	// printed text, so reads skip the text parser. Decoding sniffs the
-	// format per entry, so flipping this flag never invalidates an
-	// existing directory — old entries are simply rewritten in the new
-	// form as they are re-admitted.
-	Binary bool
 }
 
 // DefaultMaxEntries bounds the tier when Config.MaxEntries is 0.
@@ -123,7 +116,8 @@ func Open(cfg Config) (*Cache, error) {
 		}
 		key, _, err := Decode(data)
 		if err != nil {
-			// A torn write or stray file: drop it rather than serve it.
+			// A torn write, a stray file or an entry in any other
+			// format: drop it rather than serve it.
 			c.corrupt.Add(1)
 			_ = os.Remove(path)
 			continue
@@ -205,13 +199,7 @@ func (c *Cache) Get(key regalloc.CacheKey) (*regalloc.CachedAllocation, bool) {
 // allocation work clears CostFactor× that serialization cost.
 func (c *Cache) Put(key regalloc.CacheKey, e *regalloc.CachedAllocation) {
 	start := time.Now()
-	var data []byte
-	var err error
-	if c.cfg.Binary {
-		data, err = EncodeBinary(key, e)
-	} else {
-		data, err = Encode(key, e)
-	}
+	data, err := EncodeBinary(key, e)
 	serNs := time.Since(start).Nanoseconds()
 	if err != nil {
 		return

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
+
+	"repro/internal/diskcache"
+	"repro/internal/ir"
 )
 
 // TestPersistTierSurvivesRestart allocates against a daemon with a
@@ -118,26 +122,73 @@ func TestCacheExportSeed(t *testing.T) {
 	}
 }
 
-// TestCacheSeedRejectsGarbage checks that undecodable entries are
-// counted, not installed, and that a cacheless daemon refuses seeding.
-func TestCacheSeedRejectsGarbage(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	body, _ := json.Marshal(&CacheSeedRequest{Entries: []json.RawMessage{json.RawMessage(`{"key":""}`)}})
-	resp, err := http.Post(ts.URL+"/cache/seed", "application/json", bytes.NewReader(body))
+// exportOne allocates text on a fresh daemon and returns the one entry
+// its /cache/export serves.
+func exportOne(t *testing.T, text string) []byte {
+	t.Helper()
+	_, src := newTestServer(t, Config{})
+	var out AllocateResponse
+	post(t, src.URL, AllocateRequest{Machine: "tiny:6,4", Program: text}, http.StatusOK, &out)
+	resp, err := http.Get(src.URL + "/cache/export?n=8")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seeded CacheSeedResponse
-	if err := json.NewDecoder(resp.Body).Decode(&seeded); err != nil {
+	defer resp.Body.Close()
+	var exp CacheExportResponse
+	if err := json.NewDecoder(resp.Body).Decode(&exp); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if seeded.Rejected != 1 || seeded.Seeded != 0 {
-		t.Errorf("seed of garbage = %+v, want 1 rejection", seeded)
+	if len(exp.Entries) != 1 {
+		t.Fatalf("exported %d entries, want 1", len(exp.Entries))
+	}
+	return exp.Entries[0]
+}
+
+// TestCacheSeedRejectsGarbage checks that undecodable entries — a
+// JSON text-form entry or truncated binary bytes — are counted, not
+// installed, and that a cacheless daemon refuses seeding.
+func TestCacheSeedRejectsGarbage(t *testing.T) {
+	text := workloadText(t, "tiny:6,4", 24)
+	valid := exportOne(t, text)
+	key, entry, err := diskcache.Decode(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	(&ir.Printer{}).WriteProgram(&sb, entry.Program)
+	textForm, err := json.Marshal(map[string]any{"key": string(key), "program": sb.String(), "report": entry.Report})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Config{})
+	var body []byte
+	for name, bad := range map[string][]byte{
+		"json text form":   textForm,
+		"truncated binary": valid[:len(valid)/2],
+	} {
+		body, _ = json.Marshal(&CacheSeedRequest{Entries: [][]byte{bad}})
+		resp, err := http.Post(ts.URL+"/cache/seed", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seeded CacheSeedResponse
+		if err := json.NewDecoder(resp.Body).Decode(&seeded); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if seeded.Rejected != 1 || seeded.Seeded != 0 {
+			t.Errorf("seed of %s = %+v, want 1 rejection", name, seeded)
+		}
+	}
+	var out AllocateResponse
+	post(t, ts.URL, AllocateRequest{Machine: "tiny:6,4", Program: text}, http.StatusOK, &out)
+	if out.Results[0].Cached {
+		t.Error("a rejected seed entry served a request")
 	}
 
 	_, nocache := newTestServer(t, Config{CacheEntries: -1})
-	resp, err = http.Post(nocache.URL+"/cache/seed", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(nocache.URL+"/cache/seed", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

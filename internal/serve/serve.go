@@ -99,11 +99,6 @@ type Config struct {
 	// PersistCostFactor is the disk tier's admission bar (0 = diskcache
 	// default; negative admits everything).
 	PersistCostFactor float64
-	// PersistBinary selects the disk tier's binary entry encoding
-	// (programs stored as internal/irbin frames instead of printed
-	// text). Reads sniff the format per entry, so this is safe to flip
-	// on an existing directory.
-	PersistBinary bool
 }
 
 // Priority is a request's scheduling class.
@@ -380,7 +375,6 @@ func New(cfg Config) (*Server, error) {
 				Dir:        cfg.PersistDir,
 				MaxEntries: cfg.PersistEntries,
 				CostFactor: cfg.PersistCostFactor,
-				Binary:     cfg.PersistBinary,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("serve: %w", err)
@@ -534,7 +528,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // that warmth.
 func (s *Server) engine(machine, algorithm string) (*regalloc.Engine, *regalloc.Machine, error) {
 	if algorithm == "" {
-		algorithm = regalloc.SecondChance.Name()
+		algorithm = "binpack"
 	}
 	if len(s.cfg.Algorithms) > 0 {
 		ok := false
@@ -956,15 +950,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // CacheExportResponse is the GET /cache/export document: the hottest
-// cache entries in wire form (diskcache.Entry), newest first.
+// cache entries in the binary wire form (diskcache.EncodeBinary),
+// newest first.
 type CacheExportResponse struct {
-	Entries []json.RawMessage `json:"entries"`
+	Entries [][]byte `json:"entries"`
 }
 
-// CacheSeedRequest is the POST /cache/seed body: wire-form entries to
-// install. CacheSeedResponse reports how many were installed.
+// CacheSeedRequest is the POST /cache/seed body: binary wire-form
+// entries (diskcache.EncodeBinary) to install. CacheSeedResponse
+// reports how many were installed.
 type CacheSeedRequest struct {
-	Entries []json.RawMessage `json:"entries"`
+	Entries [][]byte `json:"entries"`
 }
 
 // CacheSeedResponse is the POST /cache/seed reply.
@@ -989,10 +985,10 @@ func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	resp := CacheExportResponse{Entries: []json.RawMessage{}}
+	resp := CacheExportResponse{Entries: [][]byte{}}
 	if hl, ok := s.cache.(regalloc.HotLister); ok {
 		for _, he := range hl.Hottest(n) {
-			data, err := diskcache.Encode(he.Key, he.Entry)
+			data, err := diskcache.EncodeBinary(he.Key, he.Entry)
 			if err != nil {
 				continue
 			}
@@ -1004,9 +1000,10 @@ func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCacheSeed installs wire-form entries into the cache — the push
-// side of cluster replication. Entries that fail to decode are counted
-// and skipped, never fatal: a partially corrupt replication batch still
-// warms what it can.
+// side of cluster replication. Entries that fail to decode (corrupt
+// bytes, or any form other than diskcache.EncodeBinary) are counted
+// and skipped, never fatal: a partially corrupt replication batch
+// still warms what it can.
 func (s *Server) handleCacheSeed(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})

@@ -2,6 +2,7 @@ package regalloc_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	regalloc "repro"
@@ -15,17 +16,17 @@ func TestFacadePipelineAllAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []regalloc.Algorithm{
-		regalloc.SecondChance, regalloc.TwoPass, regalloc.Coloring, regalloc.LinearScan,
-	} {
-		opts := regalloc.DefaultOptions()
-		opts.Algorithm = algo
-		allocated, results, err := regalloc.AllocateProgram(prog, mach, opts)
+	for _, algo := range []string{"binpack", "twopass", "coloring", "linearscan"} {
+		eng, err := regalloc.New(mach, regalloc.WithAlgorithm(algo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocated, rep, err := eng.AllocateProgram(context.Background(), prog)
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
-		if len(results) != len(prog.Procs) {
-			t.Fatalf("%v: %d results for %d procs", algo, len(results), len(prog.Procs))
+		if len(rep.Procs) != len(prog.Procs) {
+			t.Fatalf("%v: %d results for %d procs", algo, len(rep.Procs), len(prog.Procs))
 		}
 		got, err := regalloc.ExecuteParanoid(allocated, mach, nil)
 		if err != nil {
@@ -40,9 +41,11 @@ func TestFacadePipelineAllAlgorithms(t *testing.T) {
 func TestFacadeOptionsPlumbing(t *testing.T) {
 	mach := regalloc.Tiny(6, 3)
 	prog := progs.Random(mach, progs.DefaultGen(99))
-	opts := regalloc.DefaultOptions()
-	opts.ForwardStores = true
-	allocated, _, err := regalloc.AllocateProgram(prog, mach, opts)
+	eng, err := regalloc.New(mach, regalloc.WithForwardStores(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated, _, err := eng.AllocateProgram(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +73,11 @@ func TestFacadeBuilderQuickstartShape(t *testing.T) {
 	if err := regalloc.ValidateProgram(b.Prog, mach); err != nil {
 		t.Fatal(err)
 	}
-	res, err := regalloc.AllocateProc(pb.P, mach, regalloc.DefaultOptions())
+	eng, err := regalloc.New(mach)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.AllocateProc(pb.P)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,18 +95,5 @@ func TestFacadeBuilderQuickstartShape(t *testing.T) {
 	}
 	if out.RetValue != 42 {
 		t.Fatalf("ret = %d", out.RetValue)
-	}
-}
-
-func TestAlgorithmStrings(t *testing.T) {
-	for algo, want := range map[regalloc.Algorithm]string{
-		regalloc.SecondChance: "second-chance binpacking",
-		regalloc.TwoPass:      "two-pass binpacking",
-		regalloc.Coloring:     "graph coloring",
-		regalloc.LinearScan:   "linear scan (Poletto)",
-	} {
-		if algo.String() != want {
-			t.Fatalf("%d.String() = %q", algo, algo.String())
-		}
 	}
 }
