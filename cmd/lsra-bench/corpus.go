@@ -12,30 +12,20 @@ package main
 //     runtime-verified allocation count per decode (zero in steady
 //     state — the claim BenchmarkCorpusDecodeSteadyState gates in CI).
 //   - A bounded decode+allocate pass reports what ingestion plus the
-//     actual linear-scan pipeline sustains per core.
-//   - The pipeline duel runs the same decode+allocate workload twice on
-//     identical input — the lockstep loop vs the decode-ahead pipeline
-//     (internal/pipeline) — and reports programs/sec per runner plus the
-//     per-stage utilization counters that name the saturated stage.
-//   - The serve duel replays one workload against two fresh in-process
-//     servers — text/JSON vs binary frames — and reports the cold
-//     per-program cost of each front end.
+//     actual linear-scan pipeline sustains per core: the contrast that
+//     keeps the decode-only rung rates from being read as allocation
+//     throughput.
 //
 // The corpus itself is a shard set (corpus.OpenSet): -corpus-shards
 // controls how many members a generated corpus gets, and -corpus-file
 // accepts a single file, a set base name, or a glob.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -43,11 +33,7 @@ import (
 
 	regalloc "repro"
 	"repro/internal/corpus"
-	"repro/internal/experiments"
-	"repro/internal/ir"
 	"repro/internal/irbin"
-	"repro/internal/pipeline"
-	"repro/internal/serve"
 )
 
 // corpusBench is the -corpus section of the -json document.
@@ -65,30 +51,6 @@ type corpusBench struct {
 	// Alloc is the bounded decode+allocate measurement (single engine,
 	// full pipeline per program).
 	Alloc *corpusAlloc `json:"alloc,omitempty"`
-	// Pipeline is the lockstep-vs-decode-ahead duel on identical input.
-	Pipeline *pipelineDuel `json:"pipeline,omitempty"`
-	// ServeDuel is the cold text-vs-binary service front-end duel.
-	ServeDuel *serveDuel `json:"serve_duel,omitempty"`
-}
-
-// pipelineDuel is the decode-ahead measurement: the same programs, the
-// same engine, run through the lockstep loop and the pipelined runner.
-type pipelineDuel struct {
-	Programs  int    `json:"programs"`
-	Machine   string `json:"machine"`
-	Algorithm string `json:"algorithm"`
-	// GCPercent is the GC target both runners measured under (the duel
-	// raises it so GC cadence against the pinned decode window doesn't
-	// masquerade as pipeline overhead).
-	GCPercent int `json:"gc_percent"`
-	// Lockstep and Pipelined are each runner's full Stats: programs/sec,
-	// busy/stall nanoseconds per stage, utilizations, ring occupancy.
-	Lockstep  *pipeline.Stats `json:"lockstep"`
-	Pipelined *pipeline.Stats `json:"pipelined"`
-	// Speedup is pipelined/lockstep programs-per-second.
-	Speedup float64 `json:"speedup"`
-	// Bottleneck names the pipelined run's saturated stage.
-	Bottleneck string `json:"bottleneck"`
 }
 
 // corpusRung is one ladder step.
@@ -115,21 +77,6 @@ type corpusAlloc struct {
 	// DecodeShare is decode's fraction of the combined cost, estimated
 	// from the pure-decode rate of the first rung.
 	DecodeShare float64 `json:"decode_share"`
-}
-
-// serveDuel is the cold-ingestion duel: the same workload against two
-// fresh servers, one fed textual IR over JSON, one binary frames.
-type serveDuel struct {
-	Machine  string `json:"machine"`
-	Programs int    `json:"programs"`
-	// ColdTextNsPerProgram / ColdBinaryNsPerProgram are per-program
-	// request costs with an empty result cache (every request runs the
-	// full pipeline); the difference is the front-end (parse vs decode)
-	// plus envelope cost.
-	ColdTextNsPerProgram   int64 `json:"cold_text_ns_per_program"`
-	ColdBinaryNsPerProgram int64 `json:"cold_binary_ns_per_program"`
-	// Speedup is text/binary (> 1 means the binary front end wins).
-	Speedup float64 `json:"speedup"`
 }
 
 // parseRungs reads the -corpus-rungs flag: comma-separated ascending
@@ -160,14 +107,10 @@ type corpusOpts struct {
 	Rungs    []int
 	// Workers is the decode ladder's parallelism (0 = GOMAXPROCS).
 	Workers int
-	// PipelineWorkers and DecodeAhead tune the duel's pipelined runner
-	// (0 = the pipeline package defaults).
-	PipelineWorkers int
-	DecodeAhead     int
 }
 
-// runCorpusBench runs the ladder and the pipeline duel over the corpus
-// set named by opt.Path (generated into a temp dir when empty).
+// runCorpusBench runs the ladder and the decode+allocate pass over the
+// corpus set named by opt.Path (generated into a temp dir when empty).
 func runCorpusBench(opt corpusOpts) (*corpusBench, error) {
 	if opt.Path == "" {
 		dir, err := os.MkdirTemp("", "lsra-corpus-*")
@@ -228,92 +171,7 @@ func runCorpusBench(opt corpusOpts) (*corpusBench, error) {
 		alloc.DecodeShare = float64(cb.Rungs[0].NsPerProgram) / float64(alloc.NsPerProgram)
 	}
 	cb.Alloc = alloc
-
-	pd, err := runPipelineDuel(r, min(r.Count(), 1000), opt.PipelineWorkers, opt.DecodeAhead)
-	if err != nil {
-		return nil, err
-	}
-	cb.Pipeline = pd
-
-	duel, err := runServeDuel("x86-8")
-	if err != nil {
-		return nil, err
-	}
-	cb.ServeDuel = duel
 	return cb, nil
-}
-
-// runPipelineDuel runs n programs through the lockstep loop and the
-// decode-ahead pipeline: identical input, identical engine, so the two
-// Stats differ only in how the stages overlap.
-func runPipelineDuel(r *corpus.Set, n, allocWorkers, decodeAhead int) (*pipelineDuel, error) {
-	const machine = "alpha"
-	mach, err := regalloc.ParseMachine(machine)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := regalloc.New(mach, regalloc.WithParallelism(1))
-	if err != nil {
-		return nil, err
-	}
-	// Warm the engine scratch space before either timed run.
-	arena := irbin.NewArena()
-	prog, err := r.Decode(0, arena)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := eng.AllocateProgram(context.Background(), prog); err != nil {
-		return nil, err
-	}
-	cfg := pipeline.Config{Programs: n, AllocWorkers: allocWorkers, DecodeAhead: decodeAhead}
-	// Both runners measure under a 400% GC target: the decode-ahead ring
-	// pins a pointer-rich window of live programs, and at the default
-	// target the collector re-scans that window often enough to charge
-	// the pipelined runner a GC-cadence tax unrelated to its structure.
-	// Raising the target for both sides (disclosed as GCPercent) keeps
-	// the duel about stage overlap; the ladder rungs still run at the
-	// process default.
-	const duelGCPercent = 400
-	old := debug.SetGCPercent(duelGCPercent)
-	defer debug.SetGCPercent(old)
-	// Best of six per runner, strictly alternating, with a GC before
-	// each timed pass. Short passes matter more than long ones here:
-	// host CPU speed drifts on the scale of seconds, so the duel's
-	// fairness comes from both runners sampling the same drift curve,
-	// not from any single long measurement.
-	const duelRounds = 6
-	var ls, pl *pipeline.Stats
-	for round := 0; round < duelRounds; round++ {
-		runtime.GC()
-		l, err := pipeline.RunLockstep(context.Background(), r, eng, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if ls == nil || l.ProgramsPerSec > ls.ProgramsPerSec {
-			ls = l
-		}
-		runtime.GC()
-		p, err := pipeline.Run(context.Background(), r, eng, cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		if pl == nil || p.ProgramsPerSec > pl.ProgramsPerSec {
-			pl = p
-		}
-	}
-	d := &pipelineDuel{
-		Programs:   n,
-		Machine:    machine,
-		Algorithm:  eng.Algorithm(),
-		GCPercent:  duelGCPercent,
-		Lockstep:   ls,
-		Pipelined:  pl,
-		Bottleneck: pl.Bottleneck(),
-	}
-	if ls.ProgramsPerSec > 0 {
-		d.Speedup = pl.ProgramsPerSec / ls.ProgramsPerSec
-	}
-	return d, nil
 }
 
 // runRung decodes n programs across the worker arenas, cycling the
@@ -416,80 +274,4 @@ func runCorpusAlloc(r *corpus.Set, n int) (*corpusAlloc, error) {
 		ca.ProgramsPerSec = float64(n) / s
 	}
 	return ca, nil
-}
-
-// runServeDuel replays one workload cold against a text-fed and a
-// binary-fed server. Fresh servers for each pass: both run with an
-// empty result cache, so every request pays the full pipeline and the
-// difference isolates the ingestion front end.
-func runServeDuel(machine string) (*serveDuel, error) {
-	mach, err := regalloc.ParseMachine(machine)
-	if err != nil {
-		return nil, err
-	}
-	jobs, err := experiments.Workload(mach, []string{"default", "call-heavy", "straightline"}, 100, 2)
-	if err != nil {
-		return nil, err
-	}
-	// Pre-encode both wire forms outside the timed loops.
-	texts := make([][]byte, len(jobs))
-	frames := make([][]byte, len(jobs))
-	for i, job := range jobs {
-		body, err := json.Marshal(&serve.AllocateRequest{Machine: machine, Program: job.Text})
-		if err != nil {
-			return nil, err
-		}
-		texts[i] = body
-		prog, err := ir.ParseProgramString(job.Text, mach)
-		if err != nil {
-			return nil, err
-		}
-		frames[i] = irbin.EncodeProgram(prog)
-	}
-
-	pass := func(contentType string, bodies [][]byte, url string) (time.Duration, error) {
-		s, err := serve.New(serve.Config{Workers: 2, QueueDepth: 64})
-		if err != nil {
-			return 0, err
-		}
-		ts := httptest.NewServer(s)
-		defer ts.Close()
-		client := ts.Client()
-		start := time.Now()
-		for _, body := range bodies {
-			resp, err := client.Post(ts.URL+url, contentType, bytes.NewReader(body))
-			if err != nil {
-				return 0, err
-			}
-			_, cerr := io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if cerr != nil {
-				return 0, cerr
-			}
-			if resp.StatusCode != 200 {
-				return 0, fmt.Errorf("serve duel: status %d", resp.StatusCode)
-			}
-		}
-		return time.Since(start), nil
-	}
-
-	coldText, err := pass("application/json", texts, "/allocate")
-	if err != nil {
-		return nil, err
-	}
-	coldBin, err := pass(serve.ContentTypeBinaryIR, frames, "/allocate?machine="+machine)
-	if err != nil {
-		return nil, err
-	}
-	n := int64(len(jobs))
-	d := &serveDuel{
-		Machine:                machine,
-		Programs:               len(jobs),
-		ColdTextNsPerProgram:   coldText.Nanoseconds() / n,
-		ColdBinaryNsPerProgram: coldBin.Nanoseconds() / n,
-	}
-	if d.ColdBinaryNsPerProgram > 0 {
-		d.Speedup = float64(d.ColdTextNsPerProgram) / float64(d.ColdBinaryNsPerProgram)
-	}
-	return d, nil
 }

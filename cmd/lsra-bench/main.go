@@ -7,7 +7,6 @@
 //	lsra-bench -table3     allocation times vs. candidate counts
 //	lsra-bench -ablation   §3.1 two-pass comparison and feature ablations
 //	lsra-bench -alloc      per-benchmark engine allocation reports
-//	lsra-bench -serve      allocation-service steady state (cold vs. warm cache)
 //	lsra-bench -all        everything
 //
 // Use -scale to shrink or grow the workloads (1.0 reproduces the default
@@ -30,13 +29,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -47,7 +43,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/perfdb"
 	"repro/internal/progs"
-	"repro/internal/serve"
 )
 
 // benchOutput is the -json document: one field per selected section.
@@ -65,18 +60,13 @@ type benchOutput struct {
 	Sweep []experiments.SweepPoint `json:"sweep,omitempty"`
 	// Allocation holds one engine Report per suite benchmark.
 	Allocation []allocReport `json:"allocation,omitempty"`
-	// Serve is the allocation-service steady-state measurement: a fixed
-	// workload replayed over HTTP against an in-process lsra-served,
-	// cold pass (cache misses) vs. warm passes (cache hits).
-	Serve *serveBench `json:"serve,omitempty"`
 	// Cluster is the sharded-service measurement: consistent-hash
 	// routing over three nodes, the hedged-request tail-latency duel,
 	// cost-aware disk admission, and the restart-warm hit rate.
 	Cluster *clusterBench `json:"cluster,omitempty"`
 	// Corpus is the binary-codec throughput ladder: mmap'd corpus
-	// decode rates per rung, decode+allocate rate, and the cold
-	// text-vs-binary serve duel. Not part of -all: rung sizes make its
-	// runtime an explicit choice.
+	// decode rates per rung and the decode+allocate rate. Not part of
+	// -all: rung sizes make its runtime an explicit choice.
 	Corpus *corpusBench `json:"corpus,omitempty"`
 	// Quality is the quality frontier: per-allocator spill-traffic gap
 	// vs the oracle optimum over the default quality grid, with pair
@@ -85,104 +75,6 @@ type benchOutput struct {
 	// Resources is the process-wide resource delta over all selected
 	// sections: getrusage (max RSS, user/system CPU) plus GC counters.
 	Resources *perfdb.Resources `json:"resources,omitempty"`
-}
-
-// serveBench is the -serve section: service throughput with a cold and
-// a warm content-addressed cache.
-type serveBench struct {
-	Machine   string `json:"machine"`
-	Algorithm string `json:"algorithm"`
-	// Programs is the workload size; Rounds the number of warm replays
-	// measured.
-	Programs int `json:"programs"`
-	Rounds   int `json:"rounds"`
-	// ColdNsPerProgram is the per-program wall time of the miss pass
-	// (full pipeline); WarmNsPerProgram of the steady-state hit passes
-	// (cache lookup + serialization only).
-	ColdNsPerProgram int64 `json:"cold_ns_per_program"`
-	WarmNsPerProgram int64 `json:"warm_ns_per_program"`
-	// Speedup is cold/warm: what the content-addressed cache buys on
-	// repeated programs.
-	Speedup      float64 `json:"speedup"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-}
-
-// runServeBench measures the service steady state: one cold pass over
-// the workload (every request allocates), then rounds warm passes
-// (every request hits the cache), all over real HTTP.
-func runServeBench(machine string, rounds int) (*serveBench, error) {
-	s, err := serve.New(serve.Config{Workers: 2, QueueDepth: 64, Verify: false})
-	if err != nil {
-		return nil, err
-	}
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	mach, err := regalloc.ParseMachine(machine)
-	if err != nil {
-		return nil, err
-	}
-	jobs, err := experiments.Workload(mach, []string{"default", "call-heavy", "straightline"}, 100, 2)
-	if err != nil {
-		return nil, err
-	}
-	client := ts.Client()
-	replay := func() (time.Duration, error) {
-		start := time.Now()
-		for _, job := range jobs {
-			body, err := json.Marshal(&serve.AllocateRequest{Machine: machine, Program: job.Text})
-			if err != nil {
-				return 0, err
-			}
-			resp, err := client.Post(ts.URL+"/allocate", "application/json", bytes.NewReader(body))
-			if err != nil {
-				return 0, err
-			}
-			_, cerr := io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if cerr != nil {
-				return 0, cerr
-			}
-			if resp.StatusCode != 200 {
-				return 0, fmt.Errorf("serve bench: status %d", resp.StatusCode)
-			}
-		}
-		return time.Since(start), nil
-	}
-	cold, err := replay()
-	if err != nil {
-		return nil, err
-	}
-	after := s.Cache().Stats() // cold-pass misses end here
-	var warm time.Duration
-	for r := 0; r < rounds; r++ {
-		d, err := replay()
-		if err != nil {
-			return nil, err
-		}
-		warm += d
-	}
-	// Hit rate of the warm passes alone — the steady state the section
-	// reports — not the cache's lifetime rate, which would dilute with
-	// the deliberate cold misses.
-	final := s.Cache().Stats()
-	warmHits := final.Hits - after.Hits
-	warmTotal := warmHits + (final.Misses - after.Misses)
-	n := int64(len(jobs))
-	sb := &serveBench{
-		Machine:          machine,
-		Algorithm:        "binpack",
-		Programs:         len(jobs),
-		Rounds:           rounds,
-		ColdNsPerProgram: cold.Nanoseconds() / n,
-		WarmNsPerProgram: warm.Nanoseconds() / (n * int64(rounds)),
-	}
-	if warmTotal > 0 {
-		sb.CacheHitRate = float64(warmHits) / float64(warmTotal)
-	}
-	if sb.WarmNsPerProgram > 0 {
-		sb.Speedup = float64(sb.ColdNsPerProgram) / float64(sb.WarmNsPerProgram)
-	}
-	return sb, nil
 }
 
 // allocReport pairs a benchmark name with its engine Report and the
@@ -217,7 +109,6 @@ func main() {
 		abl         = flag.Bool("ablation", false, "run the two-pass and feature ablations")
 		sweep       = flag.Bool("sweep", false, "registers-vs-quality sweep across machine shapes")
 		sweepB      = flag.String("sweep-bench", "eqntott", "benchmark the -sweep runs")
-		srv         = flag.Bool("serve", false, "allocation-service steady-state benchmark (cold vs. warm cache)")
 		clu         = flag.Bool("cluster", false, "sharded-cluster benchmark (routing, hedging, persistent tier)")
 		corpusF     = flag.Bool("corpus", false, "binary-codec throughput ladder over an mmap'd corpus (excluded from -all)")
 		corpusFile  = flag.String("corpus-file", "", "existing corpus file, shard-set base, or glob (empty = generate a temporary set)")
@@ -225,8 +116,6 @@ func main() {
 		corpusShard = flag.Int("corpus-shards", 4, "shard-set members when generating a corpus")
 		corpusRungs = flag.String("corpus-rungs", "100000,1000000,10000000,100000000", "comma-separated ladder rung sizes")
 		corpusWork  = flag.Int("corpus-workers", 0, "ladder decode workers (0 = GOMAXPROCS)")
-		pipeWork    = flag.Int("pipeline-workers", 0, "pipeline-duel allocator workers (0 = GOMAXPROCS)")
-		decodeAhead = flag.Int("decode-ahead", 0, "pipeline-duel decoded programs in flight (0 = pipeline default)")
 		qualityF    = flag.Bool("quality", false, "quality frontier: spill-traffic gap vs the oracle optimum, envelopes enforced")
 		allocF      = flag.Bool("alloc", false, "per-benchmark engine allocation reports")
 		all         = flag.Bool("all", false, "run everything")
@@ -240,9 +129,9 @@ func main() {
 	)
 	flag.Parse()
 	if *all {
-		*t1, *t2, *f3, *t3, *abl, *sweep, *srv, *clu, *allocF, *qualityF = true, true, true, true, true, true, true, true, true, true
+		*t1, *t2, *f3, *t3, *abl, *sweep, *clu, *allocF, *qualityF = true, true, true, true, true, true, true, true, true
 	}
-	if !*t1 && !*t2 && !*f3 && !*t3 && !*abl && !*sweep && !*srv && !*clu && !*allocF && !*corpusF && !*qualityF {
+	if !*t1 && !*t2 && !*f3 && !*t3 && !*abl && !*sweep && !*clu && !*allocF && !*corpusF && !*qualityF {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -290,11 +179,6 @@ func main() {
 			die(err)
 		}
 	}
-	if *srv {
-		if out.Serve, err = runServeBench("x86-8", 3); err != nil {
-			die(err)
-		}
-	}
 	if *clu {
 		if out.Cluster, err = runClusterBench("x86-8"); err != nil {
 			die(err)
@@ -306,13 +190,11 @@ func main() {
 			die(err)
 		}
 		if out.Corpus, err = runCorpusBench(corpusOpts{
-			Path:            *corpusFile,
-			Programs:        *corpusprogs,
-			Shards:          *corpusShard,
-			Rungs:           rungs,
-			Workers:         *corpusWork,
-			PipelineWorkers: *pipeWork,
-			DecodeAhead:     *decodeAhead,
+			Path:     *corpusFile,
+			Programs: *corpusprogs,
+			Shards:   *corpusShard,
+			Rungs:    rungs,
+			Workers:  *corpusWork,
 		}); err != nil {
 			die(err)
 		}
@@ -470,17 +352,6 @@ func printText(out *benchOutput) {
 		fmt.Println()
 	}
 
-	if out.Serve != nil {
-		s := out.Serve
-		fmt.Println("Serve: allocation-service steady state (in-process lsra-served over HTTP)")
-		fmt.Printf("%-10s %-10s %9s %7s %14s %14s %8s %9s\n",
-			"machine", "algorithm", "programs", "rounds", "cold-ns/prog", "warm-ns/prog", "speedup", "hit-rate")
-		fmt.Printf("%-10s %-10s %9d %7d %14d %14d %7.1fx %8.3f\n",
-			s.Machine, s.Algorithm, s.Programs, s.Rounds,
-			s.ColdNsPerProgram, s.WarmNsPerProgram, s.Speedup, s.CacheHitRate)
-		fmt.Println()
-	}
-
 	if out.Cluster != nil {
 		cb := out.Cluster
 		fmt.Println("Cluster: 3-node consistent-hash fleet (hot/cold stream, per-node disk tiers)")
@@ -515,24 +386,6 @@ func printText(out *benchOutput) {
 		if a := cb.Alloc; a != nil {
 			fmt.Printf("  decode+allocate (%s, %s): %d programs, %d ns/program (%.0f programs/sec, decode share %.1f%%)\n",
 				a.Machine, a.Algorithm, a.Programs, a.NsPerProgram, a.ProgramsPerSec, 100*a.DecodeShare)
-		}
-		if p := cb.Pipeline; p != nil {
-			fmt.Printf("  pipeline duel (%s, %s, %d programs): lockstep %.0f programs/sec vs pipelined %.0f (%.2fx)\n",
-				p.Machine, p.Algorithm, p.Programs,
-				p.Lockstep.ProgramsPerSec, p.Pipelined.ProgramsPerSec, p.Speedup)
-			fmt.Printf("    pipelined: %d decode + %d alloc workers, decode-ahead %d (batch %d); "+
-				"utilization decode %.2f / alloc %.2f, ring occupancy %.1f, bottleneck: %s\n",
-				p.Pipelined.DecodeWorkers, p.Pipelined.AllocWorkers,
-				p.Pipelined.DecodeAhead, p.Pipelined.Batch,
-				p.Pipelined.DecodeUtilization, p.Pipelined.AllocUtilization,
-				p.Pipelined.AvgRingOccupancy, p.Bottleneck)
-			fmt.Printf("    stalls: decode %v waiting on allocators, alloc %v waiting on decode\n",
-				time.Duration(p.Pipelined.DecodeStallNs).Round(time.Millisecond),
-				time.Duration(p.Pipelined.AllocStallNs).Round(time.Millisecond))
-		}
-		if d := cb.ServeDuel; d != nil {
-			fmt.Printf("  serve cold duel (%s, %d programs): text %d ns/program vs binary %d ns/program (%.2fx)\n",
-				d.Machine, d.Programs, d.ColdTextNsPerProgram, d.ColdBinaryNsPerProgram, d.Speedup)
 		}
 		fmt.Println()
 	}

@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/perfdb"
 )
 
 // TestMain lets a test run the command itself: with LSRA_BENCH_MAIN set,
@@ -75,6 +79,54 @@ func TestRunWritesCompleteDocument(t *testing.T) {
 	}
 	if doc.Meta == nil || doc.Meta.Commit != "test" || len(doc.Table1) == 0 {
 		t.Fatalf("document lacks its stamp or section: %.200s", data)
+	}
+}
+
+// TestCorpusDocumentFeedsObservatory runs -corpus end to end and reads
+// the document back the way the observatory does: the ladder, the
+// decode+allocate pass and the shard count must come through as
+// series, and no section of the deleted serve or pipeline duels may.
+func TestCorpusDocumentFeedsObservatory(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "corpus.json")
+	if err := runBench(t, "-corpus", "-corpus-programs", "200", "-corpus-shards", "2",
+		"-corpus-rungs", "1000", "-json", "-o", out, "-commit", "test"); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := perfdb.Extract(data, perfdb.Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"corpus_programs_per_sec_1k", "corpus_alloc_ns", "corpus_shard_count"} {
+		if _, ok := rec.Series[name]; !ok {
+			t.Errorf("series %s missing", name)
+		}
+	}
+	if n := rec.Series["corpus_shard_count"]; n != 2 {
+		t.Errorf("corpus_shard_count = %v, want 2", n)
+	}
+	for name := range rec.Series {
+		if strings.HasPrefix(name, "pipeline_") || name == "serve_cold_text_ns" || name == "serve_cold_ns" {
+			t.Errorf("series %s from a deleted section", name)
+		}
+	}
+}
+
+// TestRemovedFlagsRejected: the flags of the deleted serve and pipeline
+// duels are unknown, so the flag package exits 2.
+func TestRemovedFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-serve"},
+		{"-corpus", "-pipeline-workers", "1"},
+		{"-corpus", "-decode-ahead", "8"},
+	} {
+		var exit *exec.ExitError
+		if err := runBench(t, args...); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("lsra-bench %v: %v, want exit status 2", args, err)
+		}
 	}
 }
 

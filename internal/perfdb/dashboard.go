@@ -24,11 +24,12 @@ const (
 )
 
 // headlineMetrics are the stat-tile row, in display order; only those
-// present in the store render.
+// present in the store render. Each is a series that a current
+// `lsra-bench -all` run writes.
 var headlineMetrics = []string{
-	"serve_cold_ns",
-	"serve_warm_ns",
-	"serve_cache_hit_rate",
+	"cluster_cold_ns",
+	"cluster_warm_ns",
+	"cluster_warm_hit_rate",
 	"alloc.total.wall_ns",
 	"alloc.total.heap_allocs",
 	"rusage.max_rss_bytes",

@@ -132,6 +132,17 @@ func TestServerIngestQueryDashboard(t *testing.T) {
 			t.Errorf("dashboard missing %q", want)
 		}
 	}
+	// The headline tiles name series a current -all run writes; the
+	// serve_* series of the deleted -serve section appear only in the
+	// table of all series.
+	for _, want := range []string{"cluster_cold_ns", "cluster_warm_ns", "cluster_warm_hit_rate"} {
+		if !strings.Contains(page, `<div class="label">`+want+`</div>`) {
+			t.Errorf("dashboard has no %s tile", want)
+		}
+	}
+	if strings.Contains(page, `<div class="label">serve_cold_ns</div>`) {
+		t.Error("dashboard still has a serve_cold_ns tile")
+	}
 	if strings.Contains(page, "<script") {
 		t.Error("dashboard must be self-contained: no scripts")
 	}

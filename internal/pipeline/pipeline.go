@@ -1,18 +1,19 @@
-// Package pipeline overlaps binary-IR decode with register allocation:
-// the decode-ahead stage of the corpus throughput ladder. The lockstep
-// loop of the original ladder alternates decode and allocation in one
-// goroutine, so each phase idles while the other runs and the two
-// working sets evict each other; here decode workers run ahead of the
-// allocator workers through a bounded ring of reusable slots:
+// Package pipeline overlaps binary-IR decode with register allocation
+// over a corpus; perfbench's stream workload drives it. A loop that
+// alternates decode and allocation in one goroutine idles each phase
+// while the other runs and lets the two working sets evict each other;
+// here a decode worker runs ahead of the allocator workers through a
+// bounded ring of reusable slots:
 //
-//	source ─▶ decode workers ─▶ [filled ring] ─▶ allocator workers ─▶ sink
+//	source ─▶ decode worker ─▶ [filled ring] ─▶ allocator workers ─▶ sink
 //	             ▲                                      │
 //	             └───────────── [free ring] ◀───────────┘
 //
 // A slot owns a batch of decode arenas, so the per-program channel cost
 // is amortized across the batch and the steady state allocates nothing.
-// The slot count bounds decode-ahead: when allocators fall behind, the
-// free ring empties and decode workers block — backpressure, measured.
+// The slot count bounds how far decode runs ahead: when allocators fall
+// behind, the free ring empties and the decode worker blocks —
+// backpressure, measured.
 // Every stage records busy and stall nanoseconds, so a run proves which
 // side saturates instead of leaving it to folklore: with the free ring
 // always empty the bottleneck is allocation; with the filled ring
@@ -40,30 +41,26 @@ type Source interface {
 	Frame(i int) []byte
 }
 
+// The ring's sizes. One goroutine decodes: decode is a few percent of
+// decode+allocate, so one keeps ahead of several allocators. Allocator
+// workers are GOMAXPROCS, read when Run starts.
+const (
+	// batch is the programs per ring slot: channel operations are paid
+	// once per slot, not per program.
+	batch = 64
+	// slotsPerAllocator lets decode run 2×batch programs ahead per
+	// allocator worker. More absorbs longer allocation stalls, but
+	// memory — and GC scan work — grows with it (one warm decode arena
+	// per in-flight program), which is why it scales with the consumers
+	// rather than being a flat high-water mark.
+	slotsPerAllocator = 2
+)
+
 // Config tunes one Run.
 type Config struct {
 	// Programs is the total number of decodes (cycling the source when
 	// larger than Source.Count). Required.
 	Programs int
-	// DecodeWorkers is the decode-stage parallelism (0 = 1; decode is
-	// rarely the bottleneck, and one worker keeps ahead of several
-	// allocators).
-	DecodeWorkers int
-	// AllocWorkers is the allocation-stage parallelism (0 = GOMAXPROCS).
-	AllocWorkers int
-	// DecodeAhead bounds the decoded programs in flight — ring slots ×
-	// batch (0 = 2×Batch per allocator worker). Bigger absorbs longer
-	// allocation stalls; memory — and GC scan work — grows with it (one
-	// warm decode arena per in-flight program), which is why the default
-	// scales with the consumers rather than being a flat high-water mark.
-	DecodeAhead int
-	// Batch is the programs per ring slot (0 = 64). Channel operations
-	// are paid once per slot, not per program.
-	Batch int
-	// Ordered delivers results to the sink in global index order (a
-	// reorder buffer on the result side); unordered sinks are called
-	// concurrently from allocator workers as slots complete.
-	Ordered bool
 }
 
 // Result is one allocated program's outcome, delivered to the sink.
@@ -78,35 +75,29 @@ type Result struct {
 // Stats is one Run's measurement. The stall/busy splits attribute the
 // wall time: a stage's stall is time spent blocked on its input ring.
 type Stats struct {
-	Programs      int   `json:"programs"`
-	DecodeWorkers int   `json:"decode_workers"`
-	AllocWorkers  int   `json:"alloc_workers"`
-	DecodeAhead   int   `json:"decode_ahead"`
-	Batch         int   `json:"batch"`
-	WallNs        int64 `json:"wall_ns"`
+	Programs      int
+	DecodeWorkers int
+	AllocWorkers  int
+	WallNs        int64
 	// Decoded and Allocated count programs through each stage (equal
 	// after a clean run; they diverge on error or cancellation).
-	Decoded   uint64 `json:"decoded"`
-	Allocated uint64 `json:"allocated"`
-	// DecodeBusyNs is cumulative decode time across decode workers;
-	// DecodeStallNs cumulative time those workers spent waiting for a
-	// free slot (allocators behind — backpressure). AllocBusyNs and
-	// AllocStallNs are the allocator-side mirror: stall is waiting for
-	// a filled slot (decode behind).
-	DecodeBusyNs  int64 `json:"decode_busy_ns"`
-	DecodeStallNs int64 `json:"decode_stall_ns"`
-	AllocBusyNs   int64 `json:"alloc_busy_ns"`
-	AllocStallNs  int64 `json:"alloc_stall_ns"`
+	Decoded   uint64
+	Allocated uint64
+	// DecodeBusyNs is the decode worker's decode time; DecodeStallNs
+	// the time it spent waiting for a free slot (allocators behind —
+	// backpressure). AllocBusyNs and AllocStallNs are the allocator-side
+	// mirror, summed over allocator workers: stall is waiting for a
+	// filled slot (decode behind).
+	DecodeBusyNs  int64
+	DecodeStallNs int64
+	AllocBusyNs   int64
+	AllocStallNs  int64
 	// DecodeUtilization and AllocUtilization are busy/(busy+stall) per
 	// stage: the saturation proof. ≈1 for the bottleneck stage, low for
 	// the stage that waits.
-	DecodeUtilization float64 `json:"decode_utilization"`
-	AllocUtilization  float64 `json:"alloc_utilization"`
-	// AvgRingOccupancy is the mean filled-ring depth observed at each
-	// allocator receive, in slots: near capacity means decode runs
-	// comfortably ahead, near zero means allocators are starved.
-	AvgRingOccupancy float64 `json:"avg_ring_occupancy"`
-	ProgramsPerSec   float64 `json:"programs_per_sec"`
+	DecodeUtilization float64
+	AllocUtilization  float64
+	ProgramsPerSec    float64
 }
 
 // Bottleneck names the saturated stage: the one with the higher
@@ -120,7 +111,7 @@ func (s *Stats) Bottleneck() string {
 
 // warmFrame picks the largest of the source's first frames: decoding
 // it grows an arena to (near) its high-water capacity in one step, the
-// pre-timer warmup both runners use. Decode errors during warmup are
+// pre-timer warmup. Decode errors during warmup are
 // ignored — the real decode loop reports them with an index attached.
 func warmFrame(src Source) []byte {
 	n := min(src.Count(), 256)
@@ -144,11 +135,12 @@ type slot struct {
 	n       int // programs in this batch
 }
 
-// Run streams cfg.Programs decodes from src through the decode-ahead
-// ring into eng, calling sink (when non-nil) once per program. It
-// returns when every program is through, the context is cancelled, or
-// a stage fails; in every case all pipeline goroutines have exited by
-// the time Run returns.
+// Run streams cfg.Programs decodes from src through the bounded ring
+// into eng, calling sink (when non-nil) once per program, concurrently
+// from the allocator workers and in no particular order.
+// It returns when every program is through, the context is cancelled,
+// or a stage fails; in every case all pipeline goroutines have exited
+// by the time Run returns.
 func Run(ctx context.Context, src Source, eng *regalloc.Engine, cfg Config, sink func(Result)) (*Stats, error) {
 	if src.Count() == 0 {
 		return nil, errors.New("pipeline: empty source")
@@ -156,25 +148,8 @@ func Run(ctx context.Context, src Source, eng *regalloc.Engine, cfg Config, sink
 	if cfg.Programs <= 0 {
 		return nil, fmt.Errorf("pipeline: non-positive program count %d", cfg.Programs)
 	}
-	if cfg.DecodeWorkers <= 0 {
-		cfg.DecodeWorkers = 1
-	}
-	if cfg.AllocWorkers <= 0 {
-		cfg.AllocWorkers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 64
-	}
-	if cfg.DecodeAhead <= 0 {
-		cfg.DecodeAhead = 2 * cfg.Batch * cfg.AllocWorkers
-	}
-	if cfg.Batch > cfg.DecodeAhead {
-		cfg.Batch = cfg.DecodeAhead
-	}
-	nslots := cfg.DecodeAhead / cfg.Batch
-	if nslots < 2 {
-		nslots = 2
-	}
+	allocWorkers := runtime.GOMAXPROCS(0)
+	nslots := slotsPerAllocator * allocWorkers
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -184,15 +159,15 @@ func Run(ctx context.Context, src Source, eng *regalloc.Engine, cfg Config, sink
 	// from filled. That makes the stall counters exact attributions.
 	// Every arena is warmed to near its steady-state footprint before
 	// the clock starts, so the ring decodes without allocating from the
-	// first slot instead of paying DecodeAhead cold growths mid-run.
+	// first slot instead of paying one cold growth per arena mid-run.
 	warm := warmFrame(src)
 	free := make(chan *slot, nslots)
 	filled := make(chan *slot, nslots)
 	for i := 0; i < nslots; i++ {
 		s := &slot{
-			arenas:  make([]*irbin.Arena, cfg.Batch),
-			progs:   make([]*ir.Program, cfg.Batch),
-			indexes: make([]int, cfg.Batch),
+			arenas:  make([]*irbin.Arena, batch),
+			progs:   make([]*ir.Program, batch),
+			indexes: make([]int, batch),
 		}
 		for j := range s.arenas {
 			s.arenas[j] = irbin.NewArena()
@@ -203,25 +178,19 @@ func Run(ctx context.Context, src Source, eng *regalloc.Engine, cfg Config, sink
 
 	st := &Stats{
 		Programs:      cfg.Programs,
-		DecodeWorkers: cfg.DecodeWorkers,
-		AllocWorkers:  cfg.AllocWorkers,
-		DecodeAhead:   nslots * cfg.Batch,
-		Batch:         cfg.Batch,
+		DecodeWorkers: 1,
+		AllocWorkers:  allocWorkers,
 	}
 	var (
-		decoded, allocated           atomic.Uint64
-		decodeBusy, decodeStall      atomic.Int64
-		allocBusy, allocStall        atomic.Int64
-		occupancySum, occupancyCount atomic.Int64
-		nextBatch                    atomic.Int64
-		runErr                       error
-		errOnce                      sync.Once
+		allocated             atomic.Uint64
+		allocBusy, allocStall atomic.Int64
+		runErr                error
+		errOnce               sync.Once
 	)
 	fail := func(err error) {
 		errOnce.Do(func() { runErr = err })
 		cancel()
 	}
-	numBatches := (cfg.Programs + cfg.Batch - 1) / cfg.Batch
 
 	// Settle the heap goal now that the ring is live: without this, the
 	// warmup's allocations spend the headroom of whatever goal predated
@@ -230,103 +199,47 @@ func Run(ctx context.Context, src Source, eng *regalloc.Engine, cfg Config, sink
 	runtime.GC()
 	start := time.Now()
 
-	// Decode stage.
-	var decodeWG sync.WaitGroup
-	for w := 0; w < cfg.DecodeWorkers; w++ {
-		decodeWG.Add(1)
-		go func() {
-			defer decodeWG.Done()
-			for {
-				b := int(nextBatch.Add(1) - 1)
-				if b >= numBatches {
-					return
-				}
-				t0 := time.Now()
-				var s *slot
-				select {
-				case s = <-free:
-				case <-ctx.Done():
-					return
-				}
-				decodeStall.Add(time.Since(t0).Nanoseconds())
-				t1 := time.Now()
-				lo := b * cfg.Batch
-				hi := min(lo+cfg.Batch, cfg.Programs)
-				s.n = hi - lo
-				for j := 0; j < s.n; j++ {
-					idx := lo + j
-					prog, _, err := s.arenas[j].Decode(src.Frame(idx % src.Count()))
-					if err != nil {
-						fail(fmt.Errorf("pipeline: decode program %d: %w", idx, err))
-						return
-					}
-					s.progs[j] = prog
-					s.indexes[j] = idx
-				}
-				decoded.Add(uint64(s.n))
-				decodeBusy.Add(time.Since(t1).Nanoseconds())
-				select {
-				case filled <- s:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	// Close the filled ring once every decode worker is done, so
-	// allocator workers drain the tail and exit.
-	closerDone := make(chan struct{})
+	// Decode stage. It alone writes its counters, and Run reads them
+	// only after decodeDone closes. Closing the filled ring when it is
+	// done lets allocator workers drain the tail and exit.
+	decodeDone := make(chan struct{})
 	go func() {
-		defer close(closerDone)
-		decodeWG.Wait()
-		close(filled)
-	}()
-
-	// Result delivery. Unordered: sink runs on allocator workers.
-	// Ordered: allocator workers ship completed batches to a collector
-	// that releases them in batch (hence global-index) order.
-	var deliver func(batchIdx int, results []Result)
-	var collectorWG sync.WaitGroup
-	type orderedBatch struct {
-		idx     int
-		results []Result
-	}
-	var orderedC chan orderedBatch
-	if sink != nil && cfg.Ordered {
-		orderedC = make(chan orderedBatch, nslots)
-		collectorWG.Add(1)
-		go func() {
-			defer collectorWG.Done()
-			pending := make(map[int][]Result)
-			next := 0
-			for ob := range orderedC {
-				pending[ob.idx] = ob.results
-				for rs, ok := pending[next]; ok; rs, ok = pending[next] {
-					delete(pending, next)
-					next++
-					for _, r := range rs {
-						sink(r)
-					}
-				}
-			}
-		}()
-		deliver = func(batchIdx int, results []Result) {
+		defer close(decodeDone)
+		defer close(filled)
+		for lo := 0; lo < cfg.Programs; lo += batch {
+			t0 := time.Now()
+			var s *slot
 			select {
-			case orderedC <- orderedBatch{batchIdx, results}:
+			case s = <-free:
 			case <-ctx.Done():
+				return
+			}
+			st.DecodeStallNs += time.Since(t0).Nanoseconds()
+			t1 := time.Now()
+			s.n = min(batch, cfg.Programs-lo)
+			for j := 0; j < s.n; j++ {
+				idx := lo + j
+				prog, _, err := s.arenas[j].Decode(src.Frame(idx % src.Count()))
+				if err != nil {
+					fail(fmt.Errorf("pipeline: decode program %d: %w", idx, err))
+					return
+				}
+				s.progs[j] = prog
+				s.indexes[j] = idx
+			}
+			st.Decoded += uint64(s.n)
+			st.DecodeBusyNs += time.Since(t1).Nanoseconds()
+			select {
+			case filled <- s:
+			case <-ctx.Done():
+				return
 			}
 		}
-	} else if sink != nil {
-		deliver = func(_ int, results []Result) {
-			for _, r := range results {
-				sink(r)
-			}
-		}
-	}
+	}()
 
 	// Allocation stage.
 	var allocWG sync.WaitGroup
-	for w := 0; w < cfg.AllocWorkers; w++ {
+	for w := 0; w < allocWorkers; w++ {
 		allocWG.Add(1)
 		go func() {
 			defer allocWG.Done()
@@ -343,14 +256,11 @@ func Run(ctx context.Context, src Source, eng *regalloc.Engine, cfg Config, sink
 				if !ok {
 					return
 				}
-				occupancySum.Add(int64(len(filled)))
-				occupancyCount.Add(1)
 				t1 := time.Now()
 				var results []Result
-				if deliver != nil {
+				if sink != nil {
 					results = make([]Result, 0, s.n)
 				}
-				batchIdx := s.indexes[0] / cfg.Batch
 				failed := false
 				for j := 0; j < s.n; j++ {
 					_, rep, err := eng.AllocateProgram(ctx, s.progs[j])
@@ -361,7 +271,7 @@ func Run(ctx context.Context, src Source, eng *regalloc.Engine, cfg Config, sink
 						failed = true
 						break
 					}
-					if deliver != nil {
+					if sink != nil {
 						results = append(results, Result{Index: s.indexes[j], Report: rep})
 					}
 				}
@@ -380,25 +290,18 @@ func Run(ctx context.Context, src Source, eng *regalloc.Engine, cfg Config, sink
 				if failed {
 					return
 				}
-				if deliver != nil {
-					deliver(batchIdx, results)
+				for _, r := range results {
+					sink(r)
 				}
 			}
 		}()
 	}
 
 	allocWG.Wait()
-	<-closerDone
-	if orderedC != nil {
-		close(orderedC)
-	}
-	collectorWG.Wait()
+	<-decodeDone
 	st.WallNs = time.Since(start).Nanoseconds()
 
-	st.Decoded = decoded.Load()
 	st.Allocated = allocated.Load()
-	st.DecodeBusyNs = decodeBusy.Load()
-	st.DecodeStallNs = decodeStall.Load()
 	st.AllocBusyNs = allocBusy.Load()
 	st.AllocStallNs = allocStall.Load()
 	if d := st.DecodeBusyNs + st.DecodeStallNs; d > 0 {
@@ -407,108 +310,10 @@ func Run(ctx context.Context, src Source, eng *regalloc.Engine, cfg Config, sink
 	if d := st.AllocBusyNs + st.AllocStallNs; d > 0 {
 		st.AllocUtilization = float64(st.AllocBusyNs) / float64(d)
 	}
-	if n := occupancyCount.Load(); n > 0 {
-		st.AvgRingOccupancy = float64(occupancySum.Load()) / float64(n)
-	}
 	if s := float64(st.WallNs) / 1e9; s > 0 {
 		st.ProgramsPerSec = float64(st.Allocated) / s
 	}
 
-	if runErr != nil {
-		return st, runErr
-	}
-	if err := ctx.Err(); err != nil {
-		return st, err
-	}
-	return st, nil
-}
-
-// RunLockstep is the pre-pipeline ladder loop, kept as the duel
-// baseline: AllocWorkers workers each decode and allocate alternately
-// in one goroutine, one arena per worker, no ring between the phases.
-// Identical input and engine as Run, so the two Stats are directly
-// comparable (lockstep has no stalls — each worker's decode time is
-// exactly its allocator's wait).
-func RunLockstep(ctx context.Context, src Source, eng *regalloc.Engine, cfg Config) (*Stats, error) {
-	if src.Count() == 0 {
-		return nil, errors.New("pipeline: empty source")
-	}
-	if cfg.Programs <= 0 {
-		return nil, fmt.Errorf("pipeline: non-positive program count %d", cfg.Programs)
-	}
-	if cfg.AllocWorkers <= 0 {
-		cfg.AllocWorkers = runtime.GOMAXPROCS(0)
-	}
-	st := &Stats{Programs: cfg.Programs, AllocWorkers: cfg.AllocWorkers}
-	var (
-		decoded, allocated    atomic.Uint64
-		decodeBusy, allocBusy atomic.Int64
-		runErr                error
-		errOnce               sync.Once
-	)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Same pre-timer arena warmup as Run, so the duel compares pipeline
-	// structure, not who paid for arena growth.
-	warm := warmFrame(src)
-	arenas := make([]*irbin.Arena, cfg.AllocWorkers)
-	for w := range arenas {
-		arenas[w] = irbin.NewArena()
-		arenas[w].Decode(warm)
-	}
-	// Same post-warmup heap-goal settling as Run.
-	runtime.GC()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.AllocWorkers; w++ {
-		lo := cfg.Programs * w / cfg.AllocWorkers
-		hi := cfg.Programs * (w + 1) / cfg.AllocWorkers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			arena := arenas[w]
-			for i := lo; i < hi; i++ {
-				if ctx.Err() != nil {
-					return
-				}
-				t0 := time.Now()
-				prog, _, err := arena.Decode(src.Frame(i % src.Count()))
-				if err != nil {
-					errOnce.Do(func() { runErr = fmt.Errorf("pipeline: decode program %d: %w", i, err) })
-					cancel()
-					return
-				}
-				decoded.Add(1)
-				t1 := time.Now()
-				decodeBusy.Add(t1.Sub(t0).Nanoseconds())
-				if _, _, err := eng.AllocateProgram(ctx, prog); err != nil {
-					if ctx.Err() == nil {
-						errOnce.Do(func() { runErr = fmt.Errorf("pipeline: allocate program %d: %w", i, err) })
-					}
-					cancel()
-					return
-				}
-				allocated.Add(1)
-				allocBusy.Add(time.Since(t1).Nanoseconds())
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	st.WallNs = time.Since(start).Nanoseconds()
-	st.Decoded = decoded.Load()
-	st.Allocated = allocated.Load()
-	st.DecodeBusyNs = decodeBusy.Load()
-	st.AllocBusyNs = allocBusy.Load()
-	// In lockstep each phase is "utilized" only while the other idles:
-	// report each phase's share of worker time, the apples-to-apples
-	// contrast with the pipelined utilizations.
-	if d := st.DecodeBusyNs + st.AllocBusyNs; d > 0 {
-		st.DecodeUtilization = float64(st.DecodeBusyNs) / float64(d)
-		st.AllocUtilization = float64(st.AllocBusyNs) / float64(d)
-	}
-	if s := float64(st.WallNs) / 1e9; s > 0 {
-		st.ProgramsPerSec = float64(st.Allocated) / s
-	}
 	if runErr != nil {
 		return st, runErr
 	}
