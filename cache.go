@@ -110,7 +110,7 @@ func (e *Engine) Cache() ResultCache { return e.cache }
 // not change the output.
 func (e *Engine) configFingerprint() string {
 	return fmt.Sprintf("algo=%s binpack=%+v dce=%t peephole=%t fwdstores=%t verify=%t",
-		e.algorithm, e.binpackEff, e.dce, e.peephole, e.forwardStores, e.verify)
+		e.algorithm, e.binpackEff, e.passes.DCE, e.passes.Peephole, e.passes.ForwardStores, e.passes.Verify)
 }
 
 // CacheKey computes the content address AllocateCached uses for prog on

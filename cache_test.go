@@ -252,3 +252,46 @@ func TestAllocateCachedConcurrent(t *testing.T) {
 		t.Error("no cache hits under concurrent load")
 	}
 }
+
+// TestCacheKeyPinned pins the content address of one fixed program
+// under the default configuration. Disk-tier entries persist across
+// restarts and upgrades keyed by it, so any change to the
+// configuration fingerprint, the machine spec or the canonical text
+// strands every stored entry; such a change must be deliberate and
+// come with a new digest here.
+func TestCacheKeyPinned(t *testing.T) {
+	const src = `
+program mem=16 main=main
+
+func main() {
+entry:
+    x = ldi 7
+    y = mul x, 6
+    c = cmplt y, 100
+    br c, small, big
+small:
+    y = add y, 1
+    jmp done
+big:
+    y = sub y, 1
+    jmp done
+done:
+    $r0 = mov y
+    ret
+}
+`
+	m := Alpha()
+	prog, err := ir.ParseProgramString(src, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.SetMem(3, 42)
+	eng, err := New(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "sha256:181e44f004d1b738b162b41a0f608b6a55c85e03fe1484af201d033b926f885d"
+	if got := eng.CacheKey(prog); got != want {
+		t.Fatalf("CacheKey = %s, want %s (fingerprint %q)", got, want, eng.configFingerprint())
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/conform"
-	"repro/internal/vm"
 )
 
 // Mismatch describes one observable divergence between the unallocated
@@ -40,7 +39,8 @@ type ConformResult struct {
 // allocates prog through the engine's configured pipeline, executes the
 // input program and the allocated program on the VM (the latter in
 // paranoid mode), and compares all observable behavior — intrinsic
-// output, return value, final memory image, and dynamic-counter sanity.
+// output, return value, final memory image, and dynamic-counter sanity
+// — through the grid's own execute-and-diff step.
 //
 // A non-nil error with a populated ConformResult means the allocation
 // succeeded but diverged (errors.As recovers the *Mismatch); a nil
@@ -53,18 +53,12 @@ func (e *Engine) Conform(ctx context.Context, prog *Program, input []byte) (*Con
 	if err != nil {
 		return nil, err
 	}
-	res := &ConformResult{Allocated: allocated, Report: rep}
-	res.Ref, err = vm.Run(prog, vm.Config{Mach: e.mach, Input: input})
-	if err != nil {
-		return nil, fmt.Errorf("regalloc: Conform: reference execution: %w", err)
+	ref, run, mm := conform.Exec(prog, allocated, e.mach, input, 0)
+	if ref == nil {
+		return nil, fmt.Errorf("regalloc: Conform: %s", mm.Detail)
 	}
-	res.Run, err = vm.Run(allocated, vm.Config{Mach: e.mach, Input: input, Paranoid: true})
-	if err != nil {
-		res.Mismatch = &Mismatch{Kind: MismatchExec, Detail: err.Error()}
-		return res, fmt.Errorf("regalloc: Conform(%s on %s): %w", e.algorithm, e.mach.Name, res.Mismatch)
-	}
-	if mm := conform.Diff(res.Ref, res.Run); mm != nil {
-		res.Mismatch = mm
+	res := &ConformResult{Allocated: allocated, Report: rep, Ref: ref, Run: run, Mismatch: mm}
+	if mm != nil {
 		return res, fmt.Errorf("regalloc: Conform(%s on %s): %w", e.algorithm, e.mach.Name, mm)
 	}
 	return res, nil

@@ -9,10 +9,8 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/core"
-	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/opt"
-	"repro/internal/verify"
 )
 
 // Engine is a reusable, concurrency-safe allocation pipeline for one
@@ -27,26 +25,15 @@ type Engine struct {
 	binpack       BinpackOptions
 	binpackSet    bool
 	binpackEff    BinpackOptions // effective options (cache fingerprint)
-	dce           bool
-	peephole      bool
-	forwardStores bool
-	verify        bool
+	passes        opt.Passes
 	parallelism   int
 	profilePhases bool
 	observer      Observer
 	cache         ResultCache
 
 	factory alloc.Factory
-	pool    sync.Pool // of *worker, one per concurrent worker
+	pool    sync.Pool // of *opt.Worker, one per concurrent worker
 	obsMu   sync.Mutex
-}
-
-// worker is one pooled pipeline instance: an allocator together with
-// the liveness and optimization-pass storage its procedures run through.
-type worker struct {
-	a   Allocator
-	df  dataflow.Scratch
-	opt opt.Scratch
 }
 
 // Option configures an Engine at construction time.
@@ -78,7 +65,7 @@ func WithBinpack(o BinpackOptions) Option {
 // on by default).
 func WithDCE(on bool) Option {
 	return func(e *Engine) error {
-		e.dce = on
+		e.passes.DCE = on
 		return nil
 	}
 }
@@ -87,7 +74,7 @@ func WithDCE(on bool) Option {
 // collapsed moves (§3 pipeline; on by default).
 func WithPeephole(on bool) Option {
 	return func(e *Engine) error {
-		e.peephole = on
+		e.passes.Peephole = on
 		return nil
 	}
 }
@@ -96,7 +83,7 @@ func WithPeephole(on bool) Option {
 // allocated code (the §2.4 follow-on cleanup; off by default).
 func WithForwardStores(on bool) Option {
 	return func(e *Engine) error {
-		e.forwardStores = on
+		e.passes.ForwardStores = on
 		return nil
 	}
 }
@@ -105,7 +92,7 @@ func WithForwardStores(on bool) Option {
 // (on by default).
 func WithVerify(on bool) Option {
 	return func(e *Engine) error {
-		e.verify = on
+		e.passes.Verify = on
 		return nil
 	}
 }
@@ -220,9 +207,7 @@ func New(mach *Machine, opts ...Option) (*Engine, error) {
 	e := &Engine{
 		mach:        mach,
 		algorithm:   "binpack",
-		dce:         true,
-		peephole:    true,
-		verify:      true,
+		passes:      opt.Passes{DCE: true, Verify: true, Peephole: true},
 		parallelism: runtime.GOMAXPROCS(0),
 	}
 	for _, o := range opts {
@@ -256,7 +241,7 @@ func New(mach *Machine, opts ...Option) (*Engine, error) {
 				pp.SetPhaseProfile(true)
 			}
 		}
-		return &worker{a: a}
+		return &opt.Worker{A: a}
 	}
 	return e, nil
 }
@@ -267,72 +252,13 @@ func (e *Engine) Machine() *Machine { return e.mach }
 // Algorithm returns the registry name of the engine's allocator.
 func (e *Engine) Algorithm() string { return e.algorithm }
 
-// AllocateProc runs the configured pipeline on one procedure and
-// returns the rewritten procedure with statistics. The input is not
-// modified: the engine clones it once and drives the allocator through
-// its owned-procedure fast path, so the clone is the only defensive copy
-// on the whole pipeline. Safe for concurrent use.
+// AllocateProc runs the configured pipeline (opt.Worker.Allocate) on
+// one procedure and returns the rewritten procedure with statistics.
+// The input is not modified. Safe for concurrent use.
 func (e *Engine) AllocateProc(p *Proc) (*Result, error) {
-	tm := alloc.NewTimer(e.profilePhases)
-	var engineStats Stats // phases the engine itself accounts for
-
-	w := e.pool.Get().(*worker)
+	w := e.pool.Get().(*opt.Worker)
 	defer e.pool.Put(w)
-	var res *Result
-	var err error
-	if oa, ok := w.a.(alloc.OwnedAllocator); ok {
-		// One liveness solve per procedure: DCE's last round is exact
-		// for the code it leaves, and the allocator consumes it.
-		in := p.Clone()
-		tm.Mark(&engineStats, alloc.PhaseOther)
-		var lv *dataflow.Liveness
-		if e.dce {
-			lv, _ = w.opt.DeadCodeElim(in, &w.df, &tm, &engineStats)
-		} else {
-			in.Renumber()
-			lv = w.df.Compute(in)
-			tm.Mark(&engineStats, alloc.PhaseDataflow)
-		}
-		res, err = oa.AllocateOwned(in, lv)
-	} else {
-		in := p
-		if e.dce {
-			in = p.Clone()
-			tm.Mark(&engineStats, alloc.PhaseOther)
-			w.opt.DeadCodeElim(in, &w.df, &tm, &engineStats)
-		}
-		res, err = w.a.Allocate(in)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if res.Stats.Phases.TotalNs() > 0 {
-		tm.Skip() // the allocator timed its own phases
-	} else {
-		// An external allocator with no phase instrumentation of its
-		// own: charge its whole span to the scan phase rather than
-		// dropping it, so PhaseStats shares stay meaningful.
-		tm.Mark(&engineStats, alloc.PhaseScan)
-	}
-	if e.verify {
-		if err := verify.Verify(res.Proc, e.mach); err != nil {
-			return nil, err
-		}
-		tm.Mark(&engineStats, alloc.PhaseVerify)
-	}
-	if e.forwardStores {
-		opt.ForwardStores(res.Proc, e.mach)
-	}
-	if e.peephole {
-		opt.Peephole(res.Proc)
-	}
-	tm.Mark(&engineStats, alloc.PhaseOpt)
-	if err := ir.ValidateAllocated(res.Proc, e.mach); err != nil {
-		return nil, fmt.Errorf("regalloc: invalid allocation for %s: %w", p.Name, err)
-	}
-	tm.Mark(&engineStats, alloc.PhaseOther)
-	res.Stats.Phases.Add(engineStats.Phases)
-	return res, nil
+	return w.Allocate(p, e.mach, e.passes, e.profilePhases)
 }
 
 // AllocateProgram allocates every procedure of prog over the engine's

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	regalloc "repro"
 	"repro/internal/alloc"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/progs"
 )
 
@@ -606,5 +608,57 @@ func TestEngineQuickstartShape(t *testing.T) {
 	}
 	if out.RetValue != 42 {
 		t.Fatalf("ret = %d, want 42", out.RetValue)
+	}
+}
+
+// TestExperimentsPipelineIsEngine pins the grids and paper drivers to
+// the deployed pipeline: experiments.Pipeline with the verifier on must
+// print exactly what the engine's default configuration emits, for
+// every built-in allocator over the Table 1 suite and every generator
+// profile.
+func TestExperimentsPipelineIsEngine(t *testing.T) {
+	type named struct {
+		name string
+		prog *regalloc.Program
+	}
+	for _, spec := range []string{"alpha", "x86-8"} {
+		mach, err := regalloc.ParseMachine(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var set []named
+		for _, b := range progs.Suite() {
+			set = append(set, named{b.Name, b.Build(mach, b.DefaultScale)})
+		}
+		for _, prof := range progs.Profiles() {
+			for seed := int64(1); seed <= 2; seed++ {
+				cfg, err := progs.ProfileGen(prof, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				set = append(set, named{fmt.Sprintf("%s/%d", prof, seed), progs.Random(mach, cfg)})
+			}
+		}
+		for _, algo := range []string{"binpack", "twopass", "coloring", "linearscan"} {
+			eng, err := regalloc.New(mach, regalloc.WithAlgorithm(algo), regalloc.WithParallelism(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, _ := alloc.Lookup(algo)
+			a := f(mach)
+			for _, n := range set {
+				want, _, err := eng.AllocateProgram(context.Background(), n.prog)
+				if err != nil {
+					t.Fatalf("%s %s on %s: engine: %v", algo, n.name, mach.Name, err)
+				}
+				got, _, err := experiments.Pipeline(n.prog, mach, a, true)
+				if err != nil {
+					t.Fatalf("%s %s on %s: experiments: %v", algo, n.name, mach.Name, err)
+				}
+				if g, w := dumpProgram(got, mach), dumpProgram(want, mach); g != w {
+					t.Fatalf("%s %s on %s: experiments.Pipeline and the engine print different programs", algo, n.name, mach.Name)
+				}
+			}
+		}
 	}
 }

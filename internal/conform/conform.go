@@ -141,17 +141,19 @@ func Exec(ref, allocated *ir.Program, mach *target.Machine, input []byte, maxSte
 	return refRes, gotRes, Diff(refRes, gotRes)
 }
 
-// Allocate runs the paper's pipeline — experiments.PipelineChecked with
-// both oracles on (DCE, allocate, verify, peephole, structural
-// validation), so the harness certifies exactly the pass ordering the
-// benchmarks measure — over every procedure of prog with a fresh
-// instance of the named allocator. The input program is not modified.
+// Allocate runs the paper's pipeline with the verifier on —
+// experiments.Pipeline, which drives opt.Worker.Allocate, the
+// per-procedure pipeline the engine serves with (DCE, allocate,
+// verify, peephole, structural validation) — over every procedure of
+// prog with a fresh instance of the named allocator, so the harness
+// certifies the transformation that is deployed. The input program is
+// not modified.
 func Allocate(prog *ir.Program, mach *target.Machine, allocator string) (*ir.Program, alloc.Stats, error) {
 	f, ok := alloc.Lookup(allocator)
 	if !ok {
 		return nil, alloc.Stats{}, fmt.Errorf("conform: unknown allocator %q (have %v)", allocator, alloc.Names())
 	}
-	return experiments.PipelineChecked(prog, mach, f(mach), experiments.PipelineChecks{Verify: true, Validate: true})
+	return experiments.Pipeline(prog, mach, f(mach), true)
 }
 
 // Check allocates prog under the named allocator and differentially

@@ -424,8 +424,7 @@ func checkQualityPoint(pt QualityPoint, stmts int, allocators []string, o *Quali
 			a := oracle.New(mach)
 			a.SetLimits(o.limits())
 			a.SetProfile(pf)
-			allocated, _, err = experiments.PipelineChecked(prog, mach, a,
-				experiments.PipelineChecks{Verify: true, Validate: true})
+			allocated, _, err = experiments.Pipeline(prog, mach, a, true)
 		} else {
 			allocated, _, err = Allocate(prog, mach, name)
 		}

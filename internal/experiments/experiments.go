@@ -19,63 +19,28 @@ import (
 	"repro/internal/opt"
 	"repro/internal/progs"
 	"repro/internal/target"
-	"repro/internal/verify"
 	"repro/internal/vm"
 )
 
-// Pipeline applies the paper's pass ordering around one allocator: DCE,
-// allocate, peephole. It returns the allocated program and aggregate
-// allocation statistics.
-func Pipeline(prog *ir.Program, mach *target.Machine, a alloc.Allocator) (*ir.Program, alloc.Stats, error) {
-	return PipelineChecked(prog, mach, a, PipelineChecks{})
-}
-
-// PipelineChecks selects the correctness oracles PipelineChecked runs
-// around the paper's pass ordering. The zero value runs none (the
-// benchmark configuration, where oracle cost would pollute timings).
-type PipelineChecks struct {
-	// Verify runs the symbolic allocation verifier on each procedure
-	// right after allocation.
-	Verify bool
-	// Validate runs ir.ValidateAllocated on each procedure after the
-	// peephole pass.
-	Validate bool
-}
-
-// PipelineChecked is Pipeline with optional per-procedure oracles. It
-// is THE pass ordering of the reproduction — the conformance harness
-// certifies exactly the pipeline the benchmarks measure by sharing this
-// function.
-func PipelineChecked(prog *ir.Program, mach *target.Machine, a alloc.Allocator, checks PipelineChecks) (*ir.Program, alloc.Stats, error) {
+// Pipeline runs every procedure of prog through the paper's pass
+// ordering (§3) around one allocator instance — opt.Worker.Allocate,
+// the per-procedure pipeline the engine serves with: DCE, allocate,
+// the symbolic verifier when verify is set, peephole, structural
+// validation. It returns the allocated program and aggregate
+// allocation statistics; prog is not modified.
+func Pipeline(prog *ir.Program, mach *target.Machine, a alloc.Allocator, verify bool) (*ir.Program, alloc.Stats, error) {
 	out := ir.NewProgram(prog.MemWords)
 	out.Main = prog.Main
 	for addr, v := range prog.MemInit {
 		out.SetMem(addr, v)
 	}
+	w := opt.Worker{A: a}
+	passes := opt.Passes{DCE: true, Verify: verify, Peephole: true}
 	var agg alloc.Stats
 	for _, p := range prog.Procs {
-		in := p.Clone()
-		lv, _ := opt.DeadCodeElim(in)
-		var res *alloc.Result
-		var err error
-		if oa, ok := a.(alloc.OwnedAllocator); ok {
-			res, err = oa.AllocateOwned(in, lv)
-		} else {
-			res, err = a.Allocate(in)
-		}
+		res, err := w.Allocate(p, mach, passes, false)
 		if err != nil {
 			return nil, agg, fmt.Errorf("%s: %s: %w", a.Name(), p.Name, err)
-		}
-		if checks.Verify {
-			if err := verify.Verify(res.Proc, mach); err != nil {
-				return nil, agg, fmt.Errorf("%s: %s: verifier: %w", a.Name(), p.Name, err)
-			}
-		}
-		opt.Peephole(res.Proc)
-		if checks.Validate {
-			if err := ir.ValidateAllocated(res.Proc, mach); err != nil {
-				return nil, agg, fmt.Errorf("%s: %s: invalid output: %w", a.Name(), p.Name, err)
-			}
 		}
 		agg.Add(res.Stats)
 		out.AddProc(res.Proc)
@@ -87,7 +52,7 @@ func PipelineChecked(prog *ir.Program, mach *target.Machine, a alloc.Allocator, 
 // with the allocator, executes it, and returns the dynamic counters.
 func RunBench(b *progs.Benchmark, mach *target.Machine, scale int, a alloc.Allocator) (vm.Counters, alloc.Stats, error) {
 	prog := b.Build(mach, scale)
-	allocd, stats, err := Pipeline(prog, mach, a)
+	allocd, stats, err := Pipeline(prog, mach, a, false)
 	if err != nil {
 		return vm.Counters{}, stats, err
 	}

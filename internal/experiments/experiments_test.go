@@ -49,7 +49,7 @@ func TestStatsAddAggregation(t *testing.T) {
 func TestPipelineAggregatesPerProcStats(t *testing.T) {
 	mach := target.Tiny(6, 4)
 	prog := progs.Random(mach, progs.DefaultGen(5))
-	_, agg, err := Pipeline(prog, mach, Binpack(mach))
+	_, agg, err := Pipeline(prog, mach, Binpack(mach), false)
 	if err != nil {
 		t.Fatal(err)
 	}

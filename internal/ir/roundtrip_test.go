@@ -54,11 +54,11 @@ func TestTextAndBinaryFormsAllocateAlike(t *testing.T) {
 						machName, profile, p.Name, p.NumSlots, ts, bs)
 				}
 			}
-			textOut, _, err := experiments.Pipeline(fromText, mach, a)
+			textOut, _, err := experiments.Pipeline(fromText, mach, a, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			binOut, _, err := experiments.Pipeline(fromBin, mach, a)
+			binOut, _, err := experiments.Pipeline(fromBin, mach, a, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,10 @@
 // coalesced moves into self-moves and leave the deletion to this pass).
 // An optional store-to-load forwarding pass implements the local version
 // of the load/store sinking the paper sketches as follow-on work (§2.4).
+//
+// Worker.Allocate is the pass ordering itself, the one per-procedure
+// pipeline of the repository: the engine serves with it, and the
+// experiment drivers and conformance grids run through it.
 package opt
 
 import (
@@ -18,8 +22,8 @@ import (
 )
 
 // Scratch is the reusable working storage of the dead-code pass. One
-// Scratch serves one goroutine (the engine keeps one per pooled
-// worker); the zero value is ready to use.
+// Scratch serves one goroutine (each Worker holds one); the zero value
+// is ready to use.
 type Scratch struct {
 	state   []uint8   // per temporary: sweep state in the current block
 	touched []ir.Temp // temporaries whose state is set, reset per block

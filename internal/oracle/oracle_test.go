@@ -184,8 +184,7 @@ func TestPredictedCostMatchesVM(t *testing.T) {
 
 			a := New(mach)
 			a.SetProfile(pf)
-			allocd, _, err := experiments.PipelineChecked(prog, mach, a,
-				experiments.PipelineChecks{Verify: true, Validate: true})
+			allocd, _, err := experiments.Pipeline(prog, mach, a, true)
 			if err != nil {
 				t.Fatalf("%s seed %d: pipeline: %v", mach.Name, seed, err)
 			}
@@ -226,8 +225,7 @@ func TestRegistryOracleConforms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			allocd, _, err := experiments.PipelineChecked(prog, mach, f(mach),
-				experiments.PipelineChecks{Verify: true, Validate: true})
+			allocd, _, err := experiments.Pipeline(prog, mach, f(mach), true)
 			if err != nil {
 				t.Fatalf("%s stmts %d: %v", mach.Name, stmts, err)
 			}

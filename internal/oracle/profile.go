@@ -57,10 +57,10 @@ func (pf *Profile) FreqFunc(proc string) func(*ir.Block) int64 {
 }
 
 // OptimalCost computes the proven minimum total dynamic spill overhead
-// of prog under the profile, replicating the checked pipeline's pass
-// ordering (clone, then dead-code elimination, then allocation) per
-// procedure so the optimum is commensurable with what
-// experiments.PipelineChecked-allocated programs actually execute.
+// of prog under the profile, replicating the front of the per-procedure
+// pipeline (opt.Worker.Allocate: clone, then dead-code elimination,
+// then allocation) so the optimum is commensurable with what the
+// engine and experiments.Pipeline actually emit and execute.
 // proven is false if any procedure's search exceeded lim; the returned
 // cost is then only an upper bound (the best incumbent found).
 func OptimalCost(prog *ir.Program, mach *target.Machine, pf *Profile, lim Limits) (cost int64, proven bool) {

@@ -86,8 +86,9 @@ type Stats struct {
 	// DecodeBusyNs is the decode worker's decode time; DecodeStallNs
 	// the time it spent waiting for a free slot (allocators behind —
 	// backpressure). AllocBusyNs and AllocStallNs are the allocator-side
-	// mirror, summed over allocator workers: stall is waiting for a
-	// filled slot (decode behind).
+	// mirror, summed over allocator workers: busy is allocation plus
+	// the sink's time, stall is waiting for a filled slot (decode
+	// behind).
 	DecodeBusyNs  int64
 	DecodeStallNs int64
 	AllocBusyNs   int64
@@ -243,6 +244,12 @@ func Run(ctx context.Context, src Source, eng *regalloc.Engine, cfg Config, sink
 		allocWG.Add(1)
 		go func() {
 			defer allocWG.Done()
+			// One results slice per worker: the sink drains it before
+			// the worker takes its next slot.
+			var results []Result
+			if sink != nil {
+				results = make([]Result, 0, batch)
+			}
 			for {
 				t0 := time.Now()
 				var s *slot
@@ -256,11 +263,10 @@ func Run(ctx context.Context, src Source, eng *regalloc.Engine, cfg Config, sink
 				if !ok {
 					return
 				}
+				// Busy runs until the sink has returned, so busy and
+				// stall together cover the whole loop.
 				t1 := time.Now()
-				var results []Result
-				if sink != nil {
-					results = make([]Result, 0, s.n)
-				}
+				results = results[:0]
 				failed := false
 				for j := 0; j < s.n; j++ {
 					_, rep, err := eng.AllocateProgram(ctx, s.progs[j])
@@ -278,20 +284,22 @@ func Run(ctx context.Context, src Source, eng *regalloc.Engine, cfg Config, sink
 				if !failed {
 					allocated.Add(uint64(s.n))
 				}
-				allocBusy.Add(time.Since(t1).Nanoseconds())
 				// Recycle before delivering: the reports do not alias the
 				// arenas, and a waiting decode worker should not idle on
 				// sink latency.
 				select {
 				case free <- s:
 				case <-ctx.Done():
-					return
+					failed = true
 				}
+				if !failed {
+					for _, r := range results {
+						sink(r)
+					}
+				}
+				allocBusy.Add(time.Since(t1).Nanoseconds())
 				if failed {
 					return
-				}
-				for _, r := range results {
-					sink(r)
 				}
 			}
 		}()

@@ -220,3 +220,26 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		t.Fatal("Run accepted negative programs")
 	}
 }
+
+// TestSinkTimeCountsAsBusy checks an allocator worker's time inside the
+// sink is charged to AllocBusyNs: a sink that sleeps per result puts at
+// least programs × sleep of busy time on the books, however the
+// workers interleave. The sleep dwarfs allocating the small corpus
+// programs, so time left out of busy shows up as a shortfall.
+func TestSinkTimeCountsAsBusy(t *testing.T) {
+	src := testSource(t, 8, 1)
+	eng := testEngine(t)
+	const (
+		programs = 20
+		sleep    = 10 * time.Millisecond
+	)
+	st, err := Run(context.Background(), src, eng, Config{Programs: programs}, func(Result) {
+		time.Sleep(sleep)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if min := int64(programs * sleep); st.AllocBusyNs < min {
+		t.Fatalf("AllocBusyNs = %d, want >= %d (sink time not charged)", st.AllocBusyNs, min)
+	}
+}

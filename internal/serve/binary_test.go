@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -146,4 +147,78 @@ func TestAllocateBinaryRejects(t *testing.T) {
 	postBinary(t, ts.URL, "", valid, http.StatusBadRequest, nil)
 	// Bad priority.
 	postBinary(t, ts.URL, "machine=tiny:6,4&priority=bogus", valid, http.StatusBadRequest, nil)
+}
+
+// TestAllocateAdmissionBothArms drives each pre-allocation outcome of
+// POST /allocate through both content types: the arms share one
+// handler, so an over-limit body, a full admission queue and a draining
+// server must answer with the same status whichever front end parsed
+// the request. Admission is filled by occupying slots directly, and
+// draining is entered before the request: no timing is involved.
+func TestAllocateAdmissionBothArms(t *testing.T) {
+	const machine = "tiny:6,4"
+	text := workloadText(t, machine, 5)
+	mach, err := target.Parse(machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ir.ParseProgramString(text, mach)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonBody, err := json.Marshal(&AllocateRequest{Machine: machine, Program: text})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arms := []struct {
+		name, path, contentType string
+		body                    []byte
+	}{
+		{"json", "/allocate", "application/json", jsonBody},
+		{"binary", "/allocate?machine=" + machine, ContentTypeBinaryIR, irbin.EncodeProgram(prog)},
+	}
+	cases := []struct {
+		name  string
+		cfg   Config
+		setup func(t *testing.T, s *Server)
+		want  int
+	}{
+		{"over MaxRequestBytes", Config{MaxRequestBytes: 64}, nil, http.StatusRequestEntityTooLarge},
+		{"admission full", Config{Workers: 1, QueueDepth: 1}, func(t *testing.T, s *Server) {
+			s.slots <- struct{}{}
+			s.slots <- struct{}{}
+			t.Cleanup(func() { <-s.slots; <-s.slots })
+		}, http.StatusTooManyRequests},
+		{"draining", Config{}, func(t *testing.T, s *Server) {
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}, http.StatusServiceUnavailable},
+	}
+	for _, c := range cases {
+		for _, arm := range arms {
+			t.Run(c.name+"/"+arm.name, func(t *testing.T) {
+				if c.want == http.StatusRequestEntityTooLarge && int64(len(arm.body)) <= c.cfg.MaxRequestBytes {
+					t.Fatalf("body of %d bytes does not exceed the %d-byte limit", len(arm.body), c.cfg.MaxRequestBytes)
+				}
+				s, ts := newTestServer(t, c.cfg)
+				if c.setup != nil {
+					c.setup(t, s)
+				}
+				resp, err := http.Post(ts.URL+arm.path, arm.contentType, bytes.NewReader(arm.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				if resp.StatusCode != c.want {
+					var e ErrorResponse
+					_ = json.NewDecoder(resp.Body).Decode(&e)
+					t.Fatalf("status %d, want %d (error: %s)", resp.StatusCode, c.want, e.Error)
+				}
+				if c.want == http.StatusTooManyRequests && resp.Header.Get("Retry-After") == "" {
+					t.Error("429 without Retry-After")
+				}
+			})
+		}
+	}
 }

@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -636,14 +637,75 @@ const ContentTypeBinaryIR = "application/x-lsra-ir"
 // serves steady-state binary traffic without decode allocations.
 var arenaPool = sync.Pool{New: func() any { return irbin.NewArena() }}
 
+// allocateInput is POST /allocate's request as its front end parsed
+// it, before admission. The two content types differ only here:
+// texts holds the JSON arm's program texts, frames the binary arm's
+// concatenated irbin frames.
+type allocateInput struct {
+	machine, algorithm string
+	prio               Priority
+	texts              []string
+	frames             []byte
+}
+
+// readAllocateJSON is the JSON front end: an AllocateRequest body.
+// Like any json.Decoder read, it ignores bytes after the first value.
+func readAllocateJSON(body io.Reader) (allocateInput, error) {
+	var req AllocateRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return allocateInput{}, fmt.Errorf("bad request body: %w", err)
+	}
+	in := allocateInput{machine: req.Machine, algorithm: req.Algorithm, texts: req.Programs}
+	if req.Program != "" {
+		if len(in.texts) > 0 {
+			return in, errors.New("set either program or programs, not both")
+		}
+		in.texts = []string{req.Program}
+	}
+	if len(in.texts) == 0 {
+		return in, errors.New("no program in request")
+	}
+	var err error
+	in.prio, err = ParsePriority(req.Priority)
+	return in, err
+}
+
+// readAllocateBinary is the ContentTypeBinaryIR front end: frames in
+// the body, machine, algorithm and priority in the query.
+func readAllocateBinary(q url.Values, body io.Reader) (allocateInput, error) {
+	in := allocateInput{machine: q.Get("machine"), algorithm: q.Get("algorithm")}
+	var err error
+	if in.prio, err = ParsePriority(q.Get("priority")); err != nil {
+		return in, err
+	}
+	if in.frames, err = io.ReadAll(body); err != nil {
+		return in, fmt.Errorf("bad request body: %w", err)
+	}
+	if len(in.frames) == 0 {
+		return in, errors.New("no program in request")
+	}
+	return in, nil
+}
+
+// next yields the input's next program: parsed from text, or decoded
+// zero-copy into arena. A decoded program aliases the request body
+// and the arena, which is safe because the engine clones procedures
+// before rewriting and the response carries printed text.
+func (in *allocateInput) next(arena *irbin.Arena, mach *target.Machine) (*ir.Program, error) {
+	if len(in.texts) > 0 {
+		text := in.texts[0]
+		in.texts = in.texts[1:]
+		return ir.ParseProgramString(text, mach)
+	}
+	prog, n, err := arena.Decode(in.frames)
+	in.frames = in.frames[n:]
+	return prog, err
+}
+
 func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	s.reqTotal.Add(1)
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
-		return
-	}
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, ContentTypeBinaryIR) {
-		s.handleAllocateBinary(w, r)
 		return
 	}
 	start := time.Now()
@@ -651,9 +713,15 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	// proceeds at the client's pace (bounded by MaxRequestBytes and the
 	// listener's ReadTimeout), and a slow uploader must not park itself
 	// inside the admission window holding a slot.
-	var req AllocateRequest
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	var in allocateInput
+	var err error
+	if strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeBinaryIR) {
+		in, err = readAllocateBinary(r.URL.Query(), body)
+	} else {
+		in, err = readAllocateJSON(body)
+	}
+	if err != nil {
 		// Over-limit is a distinct, retryable-after-splitting condition:
 		// tell the client 413, not 400.
 		var tooLarge *http.MaxBytesError
@@ -662,23 +730,6 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxRequestBytes))
 			return
 		}
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	texts := req.Programs
-	if req.Program != "" {
-		if len(texts) > 0 {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("set either program or programs, not both"))
-			return
-		}
-		texts = []string{req.Program}
-	}
-	if len(texts) == 0 {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("no program in request"))
-		return
-	}
-	prio, err := ParsePriority(req.Priority)
-	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
@@ -697,7 +748,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 
-	eng, mach, err := s.engine(req.Machine, req.Algorithm)
+	eng, mach, err := s.engine(in.machine, in.algorithm)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -708,16 +759,21 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	// hands freed slots to interactive waiters before batch ones. A
 	// client that gives up while queued releases its slot instead of
 	// occupying a worker with work nobody will read.
-	if err := s.sched.acquire(r.Context(), prio); err != nil {
+	if err := s.sched.acquire(r.Context(), in.prio); err != nil {
 		s.reqCancelled.Add(1)
 		writeJSON(w, statusClientClosedRequest, ErrorResponse{Error: "client went away while queued"})
 		return
 	}
 	defer s.sched.release()
 
-	resp := AllocateResponse{Machine: req.Machine, Algorithm: eng.Algorithm()}
-	for i, text := range texts {
-		prog, err := ir.ParseProgramString(text, mach)
+	var arena *irbin.Arena
+	if len(in.frames) > 0 {
+		arena = arenaPool.Get().(*irbin.Arena)
+		defer arenaPool.Put(arena)
+	}
+	resp := AllocateResponse{Machine: in.machine, Algorithm: eng.Algorithm()}
+	for i := 0; len(in.texts) > 0 || len(in.frames) > 0; i++ {
+		prog, err := in.next(arena, mach)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("program %d: %w", i, err))
 			return
@@ -730,104 +786,6 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			// A cancelled client is not a server error: classify it
 			// apart so the error-rate metric stays meaningful.
-			if r.Context().Err() != nil {
-				s.reqCancelled.Add(1)
-				writeJSON(w, statusClientClosedRequest, ErrorResponse{Error: "client went away mid-allocation"})
-				return
-			}
-			s.fail(w, http.StatusInternalServerError, fmt.Errorf("program %d: %w", i, err))
-			return
-		}
-		s.account(rep)
-		var sb strings.Builder
-		(&ir.Printer{Mach: mach}).WriteProgram(&sb, out)
-		resp.Results = append(resp.Results, AllocatedProgram{
-			Key:     string(key),
-			Cached:  rep.Cached,
-			Program: sb.String(),
-			Report:  rep,
-		})
-	}
-	resp.ElapsedNs = time.Since(start).Nanoseconds()
-	s.reqOK.Add(1)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleAllocateBinary is the Content-Type: application/x-lsra-ir arm
-// of POST /allocate. It mirrors the text arm's admission and
-// scheduling exactly; only the program front end differs — frames
-// decode zero-copy into a pooled arena instead of running the text
-// parser. The decoded program aliases the request body and the arena,
-// which is safe because the engine clones procedures before rewriting
-// and the response carries printed text.
-func (s *Server) handleAllocateBinary(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	q := r.URL.Query()
-	prio, err := ParsePriority(q.Get("priority"))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.fail(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxRequestBytes))
-			return
-		}
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	if len(body) == 0 {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("no program in request"))
-		return
-	}
-
-	switch s.admit() {
-	case admitDraining:
-		s.reqDraining.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "server is draining"})
-		return
-	case admitFull:
-		s.reqRejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: "admission queue full; retry later"})
-		return
-	case admitted:
-	}
-	defer s.release()
-
-	eng, mach, err := s.engine(q.Get("machine"), q.Get("algorithm"))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-
-	if err := s.sched.acquire(r.Context(), prio); err != nil {
-		s.reqCancelled.Add(1)
-		writeJSON(w, statusClientClosedRequest, ErrorResponse{Error: "client went away while queued"})
-		return
-	}
-	defer s.sched.release()
-
-	arena := arenaPool.Get().(*irbin.Arena)
-	defer arenaPool.Put(arena)
-	resp := AllocateResponse{Machine: q.Get("machine"), Algorithm: eng.Algorithm()}
-	rest := body
-	for i := 0; len(rest) > 0; i++ {
-		prog, n, err := arena.Decode(rest)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("program %d: %w", i, err))
-			return
-		}
-		rest = rest[n:]
-		if err := ir.ValidateProgram(prog, mach); err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("program %d: %w", i, err))
-			return
-		}
-		out, rep, key, err := eng.AllocateCachedKey(r.Context(), prog)
-		if err != nil {
 			if r.Context().Err() != nil {
 				s.reqCancelled.Add(1)
 				writeJSON(w, statusClientClosedRequest, ErrorResponse{Error: "client went away mid-allocation"})
