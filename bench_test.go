@@ -25,6 +25,7 @@ import (
 	regalloc "repro"
 	"repro/internal/alloc"
 	"repro/internal/corpus"
+	"repro/internal/dataflow"
 	"repro/internal/experiments"
 	"repro/internal/irbin"
 	"repro/internal/progs"
@@ -136,6 +137,7 @@ func BenchmarkTable3(b *testing.B) {
 		} {
 			b.Run(fmt.Sprintf("%s/%s", mod.Name, scheme.name), func(b *testing.B) {
 				a := scheme.mk(mach)
+				var df dataflow.Scratch
 				var edges, cands int
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -145,7 +147,7 @@ func BenchmarkTable3(b *testing.B) {
 						if p.Name == "main" {
 							continue
 						}
-						res, err := a.Allocate(p)
+						res, err := alloc.AllocateClone(a, mach, p, &df)
 						if err != nil {
 							b.Fatal(err)
 						}

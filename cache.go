@@ -108,9 +108,16 @@ func (e *Engine) Cache() ResultCache { return e.cache }
 // allocated output. Parallelism and observers are excluded: results
 // are deterministic regardless of the worker count, and observers do
 // not change the output.
+//
+// The binpack part is written out field by field, in the form %+v gave
+// BinpackOptions when it had a sixth field (a profiling switch that
+// never changed the output), so keys stored before its removal stay
+// valid.
 func (e *Engine) configFingerprint() string {
-	return fmt.Sprintf("algo=%s binpack=%+v dce=%t peephole=%t fwdstores=%t verify=%t",
-		e.algorithm, e.binpackEff, e.passes.DCE, e.passes.Peephole, e.passes.ForwardStores, e.passes.Verify)
+	b := e.binpackEff
+	return fmt.Sprintf("algo=%s binpack={SecondChance:%t MoveOpt:%t EarlySecondChance:%t StrictLinear:%t Heuristic:%d ProfileAllocs:false} dce=%t peephole=%t fwdstores=%t verify=%t",
+		e.algorithm, b.SecondChance, b.MoveOpt, b.EarlySecondChance, b.StrictLinear, b.Heuristic,
+		e.passes.DCE, e.passes.Peephole, e.passes.ForwardStores, e.passes.Verify)
 }
 
 // CacheKey computes the content address AllocateCached uses for prog on

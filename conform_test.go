@@ -50,10 +50,9 @@ type skewedAllocator struct{ inner Allocator }
 
 func (s skewedAllocator) Name() string { return "skewed" }
 
-func (s skewedAllocator) Allocate(p *Proc) (*Result, error) {
-	q := p.Clone()
+func (s skewedAllocator) Allocate(p *Proc, lv *Liveness, tm *Timer) (*Result, error) {
 outer:
-	for _, b := range q.Blocks {
+	for _, b := range p.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Op == OpLdi && len(in.Uses) == 1 && in.Uses[0].Kind == ir.KindImm {
@@ -62,7 +61,7 @@ outer:
 			}
 		}
 	}
-	return s.inner.Allocate(q)
+	return s.inner.Allocate(p, lv, tm)
 }
 
 var registerSkewedOnce sync.Once

@@ -115,10 +115,9 @@ func WithParallelism(n int) Option {
 // Report carries with heap-allocation counters, sampled from
 // runtime/metrics at each phase boundary. Sampling is cheap but not
 // free, so it is off by default; timings alone are always collected.
-// The engine enables sampling on every pooled allocator implementing
-// PhaseProfiler (all four built-ins do); other allocators report their
-// phases with zero alloc counters. Heap counters are process-global, so
-// per-phase allocation figures are only exact under WithParallelism(1).
+// Every allocator is profiled alike: the engine's phase timer is the
+// one it receives. Heap counters are process-global, so per-phase
+// allocation figures are only exact under WithParallelism(1).
 func WithPhaseProfile(on bool) Option {
 	return func(e *Engine) error {
 		e.profilePhases = on
@@ -234,15 +233,7 @@ func New(mach *Machine, opts ...Option) (*Engine, error) {
 		}
 		e.factory = f
 	}
-	e.pool.New = func() any {
-		a := e.factory(e.mach)
-		if e.profilePhases {
-			if pp, ok := a.(alloc.PhaseProfiler); ok {
-				pp.SetPhaseProfile(true)
-			}
-		}
-		return &opt.Worker{A: a}
-	}
+	e.pool.New = func() any { return &opt.Worker{A: e.factory(e.mach)} }
 	return e, nil
 }
 

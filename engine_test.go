@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -52,29 +53,89 @@ func TestRegistryBuiltins(t *testing.T) {
 	}
 }
 
-// countingAllocator wraps a real allocator and counts Allocate calls, to
-// prove the engine routes through registered factories.
-type countingAllocator struct {
-	regalloc.Allocator
-	calls *atomic.Int64
+// publicAllocator is an allocator written only against the public
+// regalloc API, as a package outside the module would write one. It
+// records what the engine hands it and delegates the allocation itself
+// to inner.
+type publicAllocator struct {
+	inner regalloc.Allocator
+	seen  *allocatorCalls
 }
 
-func (c *countingAllocator) Allocate(p *regalloc.Proc) (*regalloc.Result, error) {
-	c.calls.Add(1)
-	return c.Allocator.Allocate(p)
+// allocatorCalls is what the publicAllocator instances of one
+// registration observed.
+type allocatorCalls struct {
+	calls       atomic.Int64
+	badLiveness atomic.Int64 // calls whose liveness did not fit the procedure
+	deepBlocks  atomic.Int64 // blocks that arrived with a loop depth set
+	earlySaves  atomic.Int64 // callee saves present when inner returned
 }
 
-func TestRegistryRoundTrip(t *testing.T) {
-	var calls atomic.Int64
-	err := regalloc.Register("test-counting", func(m *regalloc.Machine) regalloc.Allocator {
-		return &countingAllocator{
-			Allocator: binpackAllocator(m),
-			calls:     &calls,
+func (a publicAllocator) Name() string { return "test-public" }
+
+func (a publicAllocator) Allocate(p *regalloc.Proc, lv *regalloc.Liveness, tm *regalloc.Timer) (*regalloc.Result, error) {
+	a.seen.calls.Add(1)
+	if lv == nil || len(lv.LiveIn) != len(p.Blocks) || len(lv.LiveOut) != len(p.Blocks) {
+		a.seen.badLiveness.Add(1)
+	}
+	for _, b := range p.Blocks {
+		if b.Depth > 0 {
+			a.seen.deepBlocks.Add(1)
 		}
+	}
+	res, err := a.inner.Allocate(p, lv, tm)
+	if err == nil {
+		a.seen.earlySaves.Add(int64(countTagged(res.Proc, "save")))
+	}
+	return res, err
+}
+
+// countTagged counts p's instructions carrying the named spill tag.
+func countTagged(p *regalloc.Proc, tag string) int {
+	n := 0
+	for _, b := range p.Blocks {
+		for i := range b.Instrs {
+			if b.Instrs[i].Tag.String() == tag {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// publicCalls maps each name registerPublic registered to the record
+// its instances share. The registry never forgets a name, so a repeated
+// run (-count) keeps the registration and starts a fresh record.
+var (
+	publicMu    sync.Mutex
+	publicCalls = map[string]*allocatorCalls{}
+)
+
+// registerPublic registers publicAllocator, delegating to binpack,
+// under name and returns the record its instances share.
+func registerPublic(t *testing.T, name string) *allocatorCalls {
+	t.Helper()
+	publicMu.Lock()
+	defer publicMu.Unlock()
+	_, registered := publicCalls[name]
+	seen := new(allocatorCalls)
+	publicCalls[name] = seen
+	if registered {
+		return seen
+	}
+	err := regalloc.Register(name, func(m *regalloc.Machine) regalloc.Allocator {
+		publicMu.Lock()
+		defer publicMu.Unlock()
+		return publicAllocator{inner: binpackAllocator(m), seen: publicCalls[name]}
 	})
 	if err != nil {
 		t.Fatalf("Register: %v", err)
 	}
+	return seen
+}
+
+func TestRegistryRoundTrip(t *testing.T) {
+	seen := registerPublic(t, "test-counting")
 
 	// Lookup via Algorithms.
 	found := false
@@ -109,64 +170,73 @@ func TestRegistryRoundTrip(t *testing.T) {
 	if _, _, err := eng.AllocateProgram(context.Background(), prog); err != nil {
 		t.Fatal(err)
 	}
-	if got := calls.Load(); got != int64(len(prog.Procs)) {
+	if got := seen.calls.Load(); got != int64(len(prog.Procs)) {
 		t.Fatalf("custom allocator saw %d calls, want %d", got, len(prog.Procs))
 	}
 }
 
-// ownedCounting is an allocator written purely against the public API
-// that implements the OwnedAllocator fast path by delegating to a
-// built-in one.
-type ownedCounting struct {
-	inner regalloc.OwnedAllocator
-	owned atomic.Int64
-	bad   atomic.Int64 // calls whose liveness did not fit the procedure
-}
-
-var _ regalloc.OwnedAllocator = (*ownedCounting)(nil)
-
-func (o *ownedCounting) Name() string { return "test-owned" }
-
-func (o *ownedCounting) Allocate(p *regalloc.Proc) (*regalloc.Result, error) {
-	q := p.Clone()
-	q.Renumber()
-	return o.AllocateOwned(q, regalloc.ComputeLiveness(q))
-}
-
-func (o *ownedCounting) AllocateOwned(p *regalloc.Proc, lv *regalloc.Liveness) (*regalloc.Result, error) {
-	o.owned.Add(1)
-	if lv == nil || len(lv.LiveIn) != len(p.Blocks) || len(lv.LiveOut) != len(p.Blocks) {
-		o.bad.Add(1)
-	}
-	return o.inner.AllocateOwned(p, lv)
-}
-
-// TestExternalOwnedAllocator checks that an allocator outside the
-// module can implement OwnedAllocator through the exported Liveness
-// alias, and that the engine then drives it through the fast path,
-// handing it liveness shaped for the procedure it receives.
-func TestExternalOwnedAllocator(t *testing.T) {
+// TestExternalAllocator drives a publicAllocator through an engine with
+// DCE on and checks the Allocator contract from the allocator's side:
+// one call per procedure, liveness shaped for the procedure it
+// receives, loop depths set on entry, and callee saves inserted by the
+// engine after the allocator returns, in output that runs like the
+// source program.
+func TestExternalAllocator(t *testing.T) {
+	seen := registerPublic(t, "test-public")
 	mach := regalloc.Alpha()
-	a := &ownedCounting{inner: binpackAllocator(mach).(regalloc.OwnedAllocator)}
-	if err := regalloc.Register("test-owned", func(*regalloc.Machine) regalloc.Allocator { return a }); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := regalloc.New(mach, regalloc.WithAlgorithm("test-owned"), regalloc.WithParallelism(1))
+	eng, err := regalloc.New(mach, regalloc.WithAlgorithm("test-public"),
+		regalloc.WithDCE(true), regalloc.WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := progs.Named("wc").Build(mach, 1)
-	if _, _, err := eng.AllocateProgram(context.Background(), prog); err != nil {
+	bm := progs.Named("wc")
+	prog := bm.Build(mach, 1)
+	for _, p := range prog.Procs {
+		for _, b := range p.Blocks {
+			if b.Depth != 0 {
+				t.Fatalf("%s: source block %s already has loop depth %d", p.Name, b.Name, b.Depth)
+			}
+		}
+	}
+	out, rep, err := eng.AllocateProgram(context.Background(), prog)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.owned.Load(); got != int64(len(prog.Procs)) {
-		t.Fatalf("AllocateOwned saw %d calls, want %d", got, len(prog.Procs))
+	if got := seen.calls.Load(); got != int64(len(prog.Procs)) {
+		t.Fatalf("Allocate saw %d calls, want %d", got, len(prog.Procs))
 	}
-	if _, err := a.Allocate(prog.Procs[0]); err != nil {
-		t.Fatalf("Allocate via ComputeLiveness: %v", err)
-	}
-	if n := a.bad.Load(); n != 0 {
+	if n := seen.badLiveness.Load(); n != 0 {
 		t.Fatalf("%d calls received liveness that does not fit the procedure", n)
+	}
+	if seen.deepBlocks.Load() == 0 {
+		t.Fatal("no block arrived with a loop depth set, though wc loops")
+	}
+	if n := seen.earlySaves.Load(); n != 0 {
+		t.Fatalf("%d callee saves were in place before the allocator returned", n)
+	}
+	saves := 0
+	for i, p := range out.Procs {
+		n := countTagged(p, "save")
+		if want := rep.Procs[i].Stats.UsedCalleeSaved; n != want || countTagged(p, "restore") < n {
+			t.Errorf("%s: %d saves and %d restores for %d used callee-saved registers",
+				p.Name, n, countTagged(p, "restore"), want)
+		}
+		saves += n
+	}
+	if saves == 0 {
+		t.Fatal("wc used no callee-saved register, so the epilogue inserted nothing")
+	}
+	input := bm.Input(1)
+	want, err := regalloc.Execute(prog, mach, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := regalloc.ExecuteParanoid(out, mach, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Output, want.Output) {
+		t.Fatalf("allocated wc printed %q, source printed %q", got.Output, want.Output)
 	}
 }
 
@@ -494,22 +564,25 @@ func TestEnginePhaseStats(t *testing.T) {
 		t.Fatal("batch heap counters missing")
 	}
 
-	// Registry allocators honor profiling through PhaseProfiler.
-	col, err := regalloc.New(mach, regalloc.WithAlgorithm("coloring"),
-		regalloc.WithParallelism(1), regalloc.WithPhaseProfile(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, colRep, err := col.AllocateProgram(context.Background(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var colAllocs uint64
-	for _, ps := range colRep.PhaseStats {
-		colAllocs += ps.Allocs
-	}
-	if colAllocs == 0 {
-		t.Fatal("coloring under WithPhaseProfile reported zero allocs across phases")
+	// Every built-in is profiled alike: they all mark phases on the
+	// engine's timer.
+	for _, name := range []string{"binpack", "twopass", "coloring", "linearscan", "oracle"} {
+		eng, err := regalloc.New(mach, regalloc.WithAlgorithm(name),
+			regalloc.WithParallelism(1), regalloc.WithPhaseProfile(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rep, err := eng.AllocateProgram(context.Background(), prog)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var allocs uint64
+		for _, ps := range rep.PhaseStats {
+			allocs += ps.Allocs
+		}
+		if allocs == 0 {
+			t.Errorf("%s under WithPhaseProfile reported zero allocs across phases", name)
+		}
 	}
 
 	// Without profiling, timings still arrive but alloc counters are 0.

@@ -1,72 +1,91 @@
 // Package alloc holds the plumbing shared by every register allocator in
 // this repository: spill frames, result/statistics types, the common
-// Allocator interface, and callee-saved save/restore insertion.
+// Allocator interface and Run, the one function that wraps every
+// allocator in the same setup and epilogue.
 package alloc
 
 import (
 	"fmt"
 	"time"
 
+	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/scratch"
 	"repro/internal/target"
 )
 
-// Allocator is a register allocation algorithm. Allocate must not mutate
-// its input: implementations clone the procedure, rewrite the clone so
-// that no temporary operands remain, and report statistics.
+// Allocator is a register allocation algorithm. Allocate takes
+// ownership of p, which Run has already Renumber()ed and annotated with
+// loop depths; lv is p's liveness in that numbering (the paper's
+// liveness and loop analysis are "common to both allocators", §3.2).
+// The allocator reads lv but must not retain it past the call. It
+// rewrites p in place so that no temporary operand remains, reports
+// the registers it used in Result.CalleeSaved and its spilled
+// temporaries in Stats.SpilledTemps, and may charge its own stages to
+// phases with tm.Mark. Run does the rest.
 type Allocator interface {
 	Name() string
-	Allocate(p *ir.Proc) (*Result, error)
+	Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *Timer) (*Result, error)
 }
 
-// OwnedAllocator is implemented by allocators that can consume a
-// procedure the caller owns outright: AllocateOwned rewrites p in place
-// (p must not be used afterwards) and skips the defensive clone that
-// Allocate performs. The engine uses it so a procedure is cloned exactly
-// once per pipeline run instead of once per pass.
-//
-// The caller also supplies liveness, so each procedure is analyzed once
-// (the paper's liveness is "common to both allocators", §3.2): p must
-// be Renumber()ed and lv must be its liveness in that numbering, as
-// returned by dataflow.Scratch.Compute or opt.Scratch.DeadCodeElim.
-// The allocator reads lv but must not retain it past the call.
-type OwnedAllocator interface {
-	AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*Result, error)
+// Run is the one way an Allocator is run. It sets p's loop depths
+// (charged to PhaseCFG), runs a, and finishes the allocation the same
+// way for every allocator: callee-saved saves and restores, statistics,
+// renumbering and a check that no temporary survived (charged to
+// PhaseOther). An allocator that marks no phase of its own has its
+// span charged to PhaseScan. p and lv are as Allocator.Allocate
+// describes, except that loop depths need not be set yet.
+func Run(a Allocator, mach *target.Machine, p *ir.Proc, lv *dataflow.Liveness, tm *Timer) (*Result, error) {
+	var setup Stats
+	cfg.ComputeLoopDepths(p)
+	tm.Mark(&setup, PhaseCFG)
+
+	start, candidates := tm.last, p.NumTemps()
+	res, err := a.Allocate(p, lv, tm)
+	if err != nil {
+		return nil, err
+	}
+	st := &res.Stats
+	if tm.last.Equal(start) {
+		tm.Mark(st, PhaseScan)
+	}
+	st.Candidates = candidates
+	st.UsedCalleeSaved = insertCalleeSaves(p, mach, res.CalleeSaved)
+	st.AllocTime = time.Since(start)
+	res.CalleeSaved = nil // may be the allocator's pooled scratch
+	p.Renumber()
+	st.Inserted = countInserted(p)
+	if err := checkNoTemps(p); err != nil {
+		return nil, fmt.Errorf("%s: %w", a.Name(), err)
+	}
+	tm.Mark(st, PhaseOther)
+	st.Phases.Add(setup.Phases)
+	return res, nil
 }
 
-// AllocateClone is the Allocate of an OwnedAllocator: it clones orig,
-// computes the clone's liveness into df (fresh storage when df is nil),
-// and hands both to AllocateOwned. The renumbering and the liveness
-// solve are charged to the result's phases, with heap-allocation deltas
-// when sampleAllocs is set.
-func AllocateClone(a OwnedAllocator, orig *ir.Proc, df *dataflow.Scratch, sampleAllocs bool) (*Result, error) {
+// AllocateClone runs a on a copy of orig, which is not modified: it
+// clones and renumbers orig, solves the copy's liveness into df (fresh
+// storage when df is nil; a caller allocating many procedures keeps
+// one warm) and hands both to Run. The renumbering and the liveness
+// solve are charged to the result's phases.
+func AllocateClone(a Allocator, mach *target.Machine, orig *ir.Proc, df *dataflow.Scratch) (*Result, error) {
 	if df == nil {
 		df = new(dataflow.Scratch)
 	}
 	p := orig.Clone()
-	var pre Stats
-	tm := NewTimer(sampleAllocs)
+	var setup Stats
+	tm := NewTimer(false)
 	p.Renumber()
-	tm.Mark(&pre, PhaseOther)
+	tm.Mark(&setup, PhaseOther)
 	lv := df.Compute(p)
-	tm.Mark(&pre, PhaseDataflow)
-	res, err := a.AllocateOwned(p, lv)
+	tm.Mark(&setup, PhaseDataflow)
+	res, err := Run(a, mach, p, lv, &tm)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.Phases.Add(pre.Phases)
+	res.Stats.Phases.Add(setup.Phases)
 	return res, nil
-}
-
-// PhaseProfiler is implemented by allocators that can annotate their
-// per-phase timings with heap-allocation deltas. The engine calls
-// SetPhaseProfile(true) on every pooled instance when it was built with
-// phase profiling enabled; allocators that do not implement it simply
-// report timings with zero alloc counters.
-type PhaseProfiler interface {
-	SetPhaseProfile(on bool)
 }
 
 // Result is a finished allocation.
@@ -75,6 +94,11 @@ type Result struct {
 	// physical register, spill and resolution code inserted, and
 	// callee-saved saves/restores in place.
 	Proc *ir.Proc
+	// CalleeSaved is what an Allocator reports to Run: indexed by
+	// register number, true for every callee-saved register the
+	// allocation used. Run inserts their saves and restores and then
+	// clears it.
+	CalleeSaved []bool
 	// Stats describes the allocation.
 	Stats Stats
 }
@@ -135,8 +159,8 @@ func (s *Stats) TotalSpillCode() int {
 	return n
 }
 
-// CountInserted tallies allocator-inserted instructions by tag.
-func CountInserted(p *ir.Proc) [ir.NumTags]int {
+// countInserted tallies allocator-inserted instructions by tag.
+func countInserted(p *ir.Proc) [ir.NumTags]int {
 	var counts [ir.NumTags]int
 	for _, b := range p.Blocks {
 		for i := range b.Instrs {
@@ -198,13 +222,12 @@ func (f *Frame) NumSpilled() int {
 	return n
 }
 
-// InsertCalleeSaves inserts prologue saves and pre-return restores for
+// insertCalleeSaves inserts prologue saves and pre-return restores for
 // every used callee-saved register and returns how many were used. used
-// is indexed by register number (a dense RegSet; allocators keep one in
-// their pooled scratch instead of a per-run map). Both allocators need
-// this: using a callee-saved register obligates the procedure to
-// preserve its value.
-func InsertCalleeSaves(p *ir.Proc, mach *target.Machine, used []bool) int {
+// is an allocator's Result.CalleeSaved, indexed by register number.
+// Every allocation needs this: using a callee-saved register obligates
+// the procedure to preserve its value.
+func insertCalleeSaves(p *ir.Proc, mach *target.Machine, used []bool) int {
 	var regs []target.Reg
 	for c := target.Class(0); c < target.NumClasses; c++ {
 		for _, r := range mach.CalleeSavedRegs(c) {
@@ -251,8 +274,8 @@ func InsertCalleeSaves(p *ir.Proc, mach *target.Machine, used []bool) int {
 	return len(regs)
 }
 
-// CheckNoTemps verifies that allocation rewrote every temp operand.
-func CheckNoTemps(p *ir.Proc) error {
+// checkNoTemps verifies that allocation rewrote every temp operand.
+func checkNoTemps(p *ir.Proc) error {
 	for _, b := range p.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
@@ -272,6 +295,3 @@ func CheckNoTemps(p *ir.Proc) error {
 	}
 	return nil
 }
-
-// Elapsed is a tiny helper for timing allocator cores.
-func Elapsed(start time.Time) time.Duration { return time.Since(start) }

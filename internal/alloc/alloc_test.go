@@ -47,7 +47,7 @@ func TestInsertCalleeSaves(t *testing.T) {
 	callee := mach.CalleeSavedRegs(target.ClassInt)
 	used := make([]bool, mach.NumRegs())
 	used[callee[0]], used[callee[1]] = true, true
-	n := InsertCalleeSaves(pb.P, mach, used)
+	n := insertCalleeSaves(pb.P, mach, used)
 	if n != 2 {
 		t.Fatalf("inserted %d saves, want 2", n)
 	}
@@ -86,11 +86,11 @@ func TestCheckNoTemps(t *testing.T) {
 		{Op: ir.Ldi, Defs: []ir.Operand{ir.TempOp(x)}, Uses: []ir.Operand{ir.ImmOp(1)}},
 		{Op: ir.Ret},
 	}
-	if err := CheckNoTemps(p); err == nil {
+	if err := checkNoTemps(p); err == nil {
 		t.Fatal("leftover temp not detected")
 	}
 	blk.Instrs[0].Defs[0] = ir.RegOp(0)
-	if err := CheckNoTemps(p); err != nil {
+	if err := checkNoTemps(p); err != nil {
 		t.Fatalf("false positive: %v", err)
 	}
 }

@@ -19,31 +19,24 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/bitset"
-	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/target"
 )
 
+// maxRounds bounds the build/color iterations of one register file.
+const maxRounds = 32
+
 // Allocator is the iterated-register-coalescing allocator.
 type Allocator struct {
 	mach *target.Machine
-	// MaxRounds bounds build/color iterations (default 32).
-	MaxRounds int
-
-	profileAllocs bool
 }
 
-// SetPhaseProfile toggles heap-allocation sampling at phase boundaries;
-// the engine calls it on pooled instances under WithPhaseProfile.
-func (a *Allocator) SetPhaseProfile(on bool) { a.profileAllocs = on }
-
 // New returns a coloring allocator for the machine.
-func New(m *target.Machine) *Allocator { return &Allocator{mach: m, MaxRounds: 32} }
+func New(m *target.Machine) *Allocator { return &Allocator{mach: m} }
 
 func init() {
 	alloc.MustRegister("coloring", func(m *target.Machine) alloc.Allocator { return New(m) })
@@ -52,36 +45,16 @@ func init() {
 // Name identifies the allocator in reports.
 func (a *Allocator) Name() string { return "graph coloring (George-Appel)" }
 
-var (
-	_ alloc.Allocator      = (*Allocator)(nil)
-	_ alloc.OwnedAllocator = (*Allocator)(nil)
-)
+var _ alloc.Allocator = (*Allocator)(nil)
 
-// Allocate clones p, colors both register files, rewrites the clone and
-// returns it with statistics.
-func (a *Allocator) Allocate(orig *ir.Proc) (*alloc.Result, error) {
-	return alloc.AllocateClone(a, orig, nil, a.profileAllocs)
-}
-
-// AllocateOwned colors a procedure the caller owns: p is rewritten in
-// place and must not be used afterwards. lv is the caller's liveness of
-// p (see alloc.OwnedAllocator).
-func (a *Allocator) AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*alloc.Result, error) {
+// Allocate colors both register files of p and rewrites p in place
+// (see alloc.Allocator).
+func (a *Allocator) Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *alloc.Timer) (*alloc.Result, error) {
 	res := &alloc.Result{Proc: p}
-	tm := alloc.NewTimer(a.profileAllocs)
-	cfg.ComputeLoopDepths(p)
-	tm.Mark(&res.Stats, alloc.PhaseCFG)
-
-	start := time.Now()
-	res.Stats.Candidates = p.NumTemps()
-
 	frame := alloc.NewFrame(p)
 	usedCallee := make([]bool, a.mach.NumRegs())
 	for c := target.Class(0); c < target.NumClasses; c++ {
-		g := &colorer{
-			mach: a.mach, class: c, proc: p, lv: lv, frame: frame,
-			maxRounds: a.MaxRounds,
-		}
+		g := &colorer{mach: a.mach, class: c, proc: p, lv: lv, frame: frame}
 		if err := g.run(); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name(), p.Name, err)
 		}
@@ -91,16 +64,9 @@ func (a *Allocator) AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*alloc.Res
 			usedCallee[r] = true
 		}
 	}
-	tm.Mark(&res.Stats, alloc.PhaseScan)
-	res.Stats.UsedCalleeSaved = alloc.InsertCalleeSaves(p, a.mach, usedCallee)
-	res.Stats.AllocTime = time.Since(start)
 	res.Stats.SpilledTemps = frame.NumSpilled()
-	p.Renumber()
-	res.Stats.Inserted = alloc.CountInserted(p)
-	if err := alloc.CheckNoTemps(p); err != nil {
-		return nil, fmt.Errorf("%s: %w", a.Name(), err)
-	}
-	tm.Mark(&res.Stats, alloc.PhaseOther)
+	res.CalleeSaved = usedCallee
+	tm.Mark(&res.Stats, alloc.PhaseScan)
 	return res, nil
 }
 
@@ -112,7 +78,6 @@ type colorer struct {
 	lv    *dataflow.Liveness
 	frame *alloc.Frame
 
-	maxRounds  int
 	rounds     int
 	totalEdges int
 	usedCallee map[target.Reg]bool
@@ -187,8 +152,8 @@ func (g *colorer) run() error {
 	g.replaced = make([]bool, g.proc.NumTemps())
 	for {
 		g.rounds++
-		if g.rounds > g.maxRounds {
-			return fmt.Errorf("coloring did not converge after %d rounds", g.maxRounds)
+		if g.rounds > maxRounds {
+			return fmt.Errorf("coloring did not converge after %d rounds", maxRounds)
 		}
 		g.initRound()
 		g.build()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/ir"
 	"repro/internal/opt"
 	"repro/internal/target"
@@ -97,7 +98,7 @@ func TestColoringSmoke(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
-			res, err := New(tc.mach).Allocate(prog.Proc("main"))
+			res, err := alloc.AllocateClone(New(tc.mach), tc.mach, prog.Proc("main"), nil)
 			if err != nil {
 				t.Fatalf("allocate: %v", err)
 			}
@@ -137,7 +138,7 @@ func TestCoalescingRemovesParamMoves(t *testing.T) {
 	pb.Op2(ir.Add, z, ir.TempOp(x), ir.TempOp(y))
 	pb.Ret(z)
 
-	res, err := New(mach).Allocate(pb.P)
+	res, err := alloc.AllocateClone(New(mach), mach, pb.P, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

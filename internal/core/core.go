@@ -20,10 +20,8 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/alloc"
-	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/lifetime"
@@ -70,11 +68,6 @@ type Options struct {
 	StrictLinear bool
 	// Heuristic selects the eviction priority function.
 	Heuristic HeuristicKind
-	// ProfileAllocs annotates the per-phase timings in Stats.Phases
-	// with heap-allocation deltas (runtime/metrics reads at every phase
-	// boundary). Off by default: timings are always collected, but
-	// allocation sampling costs two counter reads per phase.
-	ProfileAllocs bool
 }
 
 // DefaultOptions returns the paper's configuration.
@@ -87,8 +80,8 @@ func DefaultOptions() Options {
 }
 
 // Allocator is the binpacking register allocator. It keeps per-instance
-// scratch buffers — for liveness, lifetime construction, and the scan
-// itself — that are reused across Allocate calls, so one Allocator must
+// scratch buffers — for lifetime construction and the scan itself —
+// that are reused across Allocate calls, so one Allocator must
 // not run concurrent allocations; use one instance per goroutine (the
 // engine's worker pool does exactly that). In steady state, repeated
 // allocation through one instance performs near-zero heap allocation
@@ -97,7 +90,6 @@ type Allocator struct {
 	mach    *target.Machine
 	opts    Options
 	scratch scanScratch
-	df      dataflow.Scratch
 	ltsc    lifetime.Scratch
 	rbsc    lifetime.RegScratch
 }
@@ -118,47 +110,22 @@ func (a *Allocator) Name() string {
 	return "second-chance binpacking"
 }
 
-var (
-	_ alloc.Allocator      = (*Allocator)(nil)
-	_ alloc.OwnedAllocator = (*Allocator)(nil)
-	_ alloc.PhaseProfiler  = (*Allocator)(nil)
-)
+var _ alloc.Allocator = (*Allocator)(nil)
 
-// SetPhaseProfile toggles heap-allocation sampling at phase boundaries
-// (Options.ProfileAllocs); the engine calls it on pooled instances.
-func (a *Allocator) SetPhaseProfile(on bool) { a.opts.ProfileAllocs = on }
-
-// Allocate clones p, allocates registers, rewrites the clone, and returns
-// it with statistics. The input procedure is not modified.
-func (a *Allocator) Allocate(orig *ir.Proc) (*alloc.Result, error) {
-	return alloc.AllocateClone(a, orig, &a.df, a.opts.ProfileAllocs)
-}
-
-// AllocateOwned allocates registers for a procedure the caller owns: p
-// is rewritten in place (and must not be used afterwards), reading the
-// caller's liveness lv of p (see alloc.OwnedAllocator). The engine uses
-// this path so each procedure is cloned and analyzed exactly once per
-// pipeline run.
-func (a *Allocator) AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*alloc.Result, error) {
+// Allocate allocates registers for p, rewriting it in place (see
+// alloc.Allocator; alloc.Run sets the loop depths the eviction
+// heuristic weighs and finishes the allocation). Shared setup is not
+// the allocator's: the paper excludes CFG construction, loop analysis
+// and liveness from allocation timing as "common to both allocators"
+// (§3.2).
+func (a *Allocator) Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *alloc.Timer) (*alloc.Result, error) {
 	res := &alloc.Result{Proc: p}
 	st := &res.Stats
-	tm := alloc.NewTimer(a.opts.ProfileAllocs)
-
-	// Shared setup (the paper excludes this from allocation timing:
-	// CFG construction, loop analysis and liveness are common to both
-	// allocators, §3.2).
-	cfg.ComputeLoopDepths(p)
-	tm.Mark(st, alloc.PhaseCFG)
-
-	start := time.Now()
 	lt := a.ltsc.Compute(p, lv)
 	rb := a.rbsc.Compute(p, a.mach)
 	tm.Mark(st, alloc.PhaseLifetime)
 
-	st.Candidates = p.NumTemps()
-
 	var frame *alloc.Frame
-	var usedCallee []bool
 	if a.opts.SecondChance {
 		s := newScan(p, a.mach, a.opts, lv, lt, rb, &a.scratch)
 		if err := s.run(); err != nil {
@@ -168,25 +135,16 @@ func (a *Allocator) AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*alloc.Res
 		s.resolve(&a.scratch)
 		s.release(&a.scratch)
 		tm.Mark(st, alloc.PhaseMoves)
-		frame = s.frame
-		usedCallee = s.usedCallee
+		frame, res.CalleeSaved = s.frame, s.usedCallee
 	} else {
 		var err error
-		frame, usedCallee, err = a.twoPass(p, lt, rb)
+		frame, res.CalleeSaved, err = a.twoPass(p, lt, rb)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name(), p.Name, err)
 		}
 		tm.Mark(st, alloc.PhaseScan)
 	}
-	st.UsedCalleeSaved = alloc.InsertCalleeSaves(p, a.mach, usedCallee)
-	st.AllocTime = time.Since(start)
 	st.SpilledTemps = frame.NumSpilled()
 	frame.Release() // the pooled frame must not pin p past this run
-	p.Renumber()
-	st.Inserted = alloc.CountInserted(p)
-	if err := alloc.CheckNoTemps(p); err != nil {
-		return nil, fmt.Errorf("%s: %w", a.Name(), err)
-	}
-	tm.Mark(st, alloc.PhaseOther)
 	return res, nil
 }

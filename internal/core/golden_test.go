@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/opt"
@@ -87,7 +88,8 @@ func (g goldenProg) digest(w io.Writer, a *Allocator, mach *target.Machine) {
 	pr := &ir.Printer{Mach: mach, Tags: true, Positions: true}
 	fmt.Fprintf(w, "== %s\n", g.name)
 	for i, p := range g.procs {
-		res, err := a.AllocateOwned(p.Clone(), g.lvs[i])
+		tm := alloc.NewTimer(false)
+		res, err := alloc.Run(a, mach, p.Clone(), g.lvs[i], &tm)
 		if err != nil {
 			fmt.Fprintf(w, "proc %s: error %v\n", p.Name, err)
 			continue

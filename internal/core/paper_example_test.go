@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/ir"
 	"repro/internal/target"
 	"repro/internal/vm"
@@ -74,7 +75,7 @@ func TestFigure2Resolution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := NewDefault(mach).Allocate(pb.P)
+	res, err := alloc.AllocateClone(NewDefault(mach), mach, pb.P, nil)
 	if err != nil {
 		t.Fatalf("allocate: %v\n%s", err, ir.ProcString(pb.P))
 	}
@@ -143,7 +144,7 @@ func TestConsistencySuppressesStores(t *testing.T) {
 	}
 	pb.Ret(acc)
 
-	res, err := NewDefault(mach).Allocate(pb.P)
+	res, err := alloc.AllocateClone(NewDefault(mach), mach, pb.P, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestMoveOptCoalescesParamMove(t *testing.T) {
 	pb.Op2(ir.Add, y, ir.TempOp(x), ir.ImmOp(1))
 	pb.Ret(y)
 
-	res, err := NewDefault(mach).Allocate(pb.P)
+	res, err := alloc.AllocateClone(NewDefault(mach), mach, pb.P, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestMoveOptCoalescesParamMove(t *testing.T) {
 	// Without the optimization the move must remain a real move.
 	o := DefaultOptions()
 	o.MoveOpt = false
-	res2, err := New(mach, o).Allocate(pb.P)
+	res2, err := alloc.AllocateClone(New(mach, o), mach, pb.P, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

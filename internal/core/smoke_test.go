@@ -94,7 +94,7 @@ func runBoth(t *testing.T, mach *target.Machine, prog *ir.Program, a alloc.Alloc
 		allocd.SetMem(a2, v)
 	}
 	for _, p := range prog.Procs {
-		res, err := a.Allocate(p)
+		res, err := alloc.AllocateClone(a, mach, p, nil)
 		if err != nil {
 			t.Fatalf("allocate %s: %v", p.Name, err)
 		}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/core"
+	"repro/internal/dataflow"
 
 	// Registry side effects: "coloring" and "linearscan" register here.
 	_ "repro/internal/coloring"
@@ -230,6 +231,7 @@ type Table3Row struct {
 // the best of five runs, as in the paper.
 func Table3(mach *target.Machine) ([]Table3Row, error) {
 	var rows []Table3Row
+	var df dataflow.Scratch
 	for _, mod := range progs.Table3Modules(mach) {
 		row := Table3Row{Module: mod.Name}
 		nprocs := 0
@@ -248,7 +250,7 @@ func Table3(mach *target.Machine) ([]Table3Row, error) {
 					if p.Name == "main" {
 						continue
 					}
-					res, err := a.Allocate(p)
+					res, err := alloc.AllocateClone(a, mach, p, &df)
 					if err != nil {
 						return 0, agg, err
 					}

@@ -3,6 +3,7 @@ package integration
 import (
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/experiments"
 	"repro/internal/progs"
 	"repro/internal/target"
@@ -149,7 +150,7 @@ func TestClaimColoringDegradesOnLargeModules(t *testing.T) {
 			if p.Name == "main" {
 				continue
 			}
-			res, err := a.Allocate(p)
+			res, err := alloc.AllocateClone(a, mach, p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -45,7 +45,7 @@ func allocateProgram(t *testing.T, mach *target.Machine, a alloc.Allocator, prog
 		out.SetMem(addr, v)
 	}
 	for _, p := range prog.Procs {
-		res, err := a.Allocate(p)
+		res, err := alloc.AllocateClone(a, mach, p, nil)
 		if err != nil {
 			t.Fatalf("%s: allocate %s: %v", a.Name(), p.Name, err)
 		}
@@ -208,7 +208,7 @@ func TestForwardStoresPreservesSemantics(t *testing.T) {
 func TestVerifierCatchesCorruption(t *testing.T) {
 	mach := target.Tiny(6, 4)
 	prog := progs.Random(mach, progs.DefaultGen(7))
-	res, err := core.NewDefault(mach).Allocate(prog.Proc("main"))
+	res, err := alloc.AllocateClone(core.NewDefault(mach), mach, prog.Proc("main"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

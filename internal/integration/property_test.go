@@ -3,6 +3,7 @@ package integration
 import (
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/dataflow"
 	"repro/internal/lifetime"
 	"repro/internal/progs"
@@ -137,8 +138,8 @@ func TestPropertyAllocationIdempotentStats(t *testing.T) {
 	for seed := int64(500); seed < 512; seed++ {
 		prog := progs.Random(mach, progs.DefaultGen(seed))
 		for name, a := range allocators(mach) {
-			r1, err1 := a.Allocate(prog.Proc("main"))
-			r2, err2 := a.Allocate(prog.Proc("main"))
+			r1, err1 := alloc.AllocateClone(a, mach, prog.Proc("main"), nil)
+			r2, err2 := alloc.AllocateClone(a, mach, prog.Proc("main"), nil)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("seed %d %s: %v/%v", seed, name, err1, err2)
 			}

@@ -15,12 +15,9 @@
 package linearscan
 
 import (
-	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/alloc"
-	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/lifetime"
@@ -29,13 +26,8 @@ import (
 
 // Allocator is the Poletto-style linear-scan allocator.
 type Allocator struct {
-	mach          *target.Machine
-	profileAllocs bool
+	mach *target.Machine
 }
-
-// SetPhaseProfile toggles heap-allocation sampling at phase boundaries;
-// the engine calls it on pooled instances under WithPhaseProfile.
-func (a *Allocator) SetPhaseProfile(on bool) { a.profileAllocs = on }
 
 // New returns a linear-scan allocator for the machine.
 func New(m *target.Machine) *Allocator { return &Allocator{mach: m} }
@@ -47,10 +39,7 @@ func init() {
 // Name identifies the allocator in reports.
 func (a *Allocator) Name() string { return "linear scan (Poletto)" }
 
-var (
-	_ alloc.Allocator      = (*Allocator)(nil)
-	_ alloc.OwnedAllocator = (*Allocator)(nil)
-)
+var _ alloc.Allocator = (*Allocator)(nil)
 
 type span struct {
 	temp       ir.Temp
@@ -58,27 +47,14 @@ type span struct {
 	reg        target.Reg
 }
 
-// Allocate clones p, assigns whole flat intervals to registers with the
-// furthest-end spill heuristic, rewrites, and returns statistics.
-func (a *Allocator) Allocate(orig *ir.Proc) (*alloc.Result, error) {
-	return alloc.AllocateClone(a, orig, nil, a.profileAllocs)
-}
-
-// AllocateOwned allocates a procedure the caller owns: p is rewritten in
-// place and must not be used afterwards. lv is the caller's liveness of
-// p (see alloc.OwnedAllocator).
-func (a *Allocator) AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*alloc.Result, error) {
+// Allocate assigns whole flat intervals of p to registers with the
+// furthest-end spill heuristic and rewrites p in place (see
+// alloc.Allocator).
+func (a *Allocator) Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *alloc.Timer) (*alloc.Result, error) {
 	res := &alloc.Result{Proc: p}
-	tm := alloc.NewTimer(a.profileAllocs)
-	cfg.ComputeLoopDepths(p)
-	tm.Mark(&res.Stats, alloc.PhaseCFG)
-
-	start := time.Now()
 	lt := lifetime.Compute(p, lv)
 	rb := lifetime.ComputeRegBusy(p, a.mach)
 	tm.Mark(&res.Stats, alloc.PhaseLifetime)
-
-	res.Stats.Candidates = p.NumTemps()
 
 	scratch := alloc.PickScratch(a.mach)
 	reserved := map[target.Reg]bool{
@@ -161,16 +137,9 @@ func (a *Allocator) AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*alloc.Res
 	tm.Mark(&res.Stats, alloc.PhaseScan)
 	frame := alloc.NewFrame(p)
 	alloc.RewriteAssigned(p, a.mach, asn, frame, scratch, usedCallee)
-	tm.Mark(&res.Stats, alloc.PhaseMoves)
-	res.Stats.UsedCalleeSaved = alloc.InsertCalleeSaves(p, a.mach, usedCallee)
-	res.Stats.AllocTime = time.Since(start)
 	res.Stats.SpilledTemps = frame.NumSpilled()
-	p.Renumber()
-	res.Stats.Inserted = alloc.CountInserted(p)
-	if err := alloc.CheckNoTemps(p); err != nil {
-		return nil, fmt.Errorf("%s: %w", a.Name(), err)
-	}
-	tm.Mark(&res.Stats, alloc.PhaseOther)
+	res.CalleeSaved = usedCallee
+	tm.Mark(&res.Stats, alloc.PhaseMoves)
 	return res, nil
 }
 

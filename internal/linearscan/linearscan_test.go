@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/ir"
 	"repro/internal/opt"
 	"repro/internal/progs"
@@ -26,7 +27,7 @@ func TestPolettoOnRandomPrograms(t *testing.T) {
 				allocd.SetMem(a, v)
 			}
 			for _, p := range prog.Procs {
-				res, err := New(mach).Allocate(p)
+				res, err := alloc.AllocateClone(New(mach), mach, p, nil)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -67,7 +68,7 @@ func TestNoHolesExploited(t *testing.T) {
 	pb.Op2(ir.Add, u, ir.TempOp(u), ir.TempOp(long))
 	pb.Ret(u)
 
-	res, err := New(mach).Allocate(pb.P)
+	res, err := alloc.AllocateClone(New(mach), mach, pb.P, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestSuiteUnderLinearScan(t *testing.T) {
 			allocd.SetMem(a, v)
 		}
 		for _, p := range prog.Procs {
-			res, err := New(mach).Allocate(p)
+			res, err := alloc.AllocateClone(New(mach), mach, p, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

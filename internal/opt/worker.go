@@ -39,49 +39,29 @@ type Worker struct {
 
 // Allocate runs the pipeline on one procedure for mach and returns the
 // allocated procedure with its statistics; p itself is not modified.
-// Statistics carry per-phase timings: the allocator's own plus the
-// engine-side phases charged here, with heap-allocation counters when
+// Statistics carry per-phase timings, alloc.Run's and the allocator's
+// plus the passes' charged here, with heap-allocation counters when
 // sampleAllocs is set.
 func (w *Worker) Allocate(p *ir.Proc, mach *target.Machine, ps Passes, sampleAllocs bool) (*alloc.Result, error) {
 	tm := alloc.NewTimer(sampleAllocs)
-	var own alloc.Stats // the phases charged here, outside the allocator
+	var own alloc.Stats // the phases charged here, outside alloc.Run
 
-	var res *alloc.Result
-	var err error
-	if oa, ok := w.A.(alloc.OwnedAllocator); ok {
-		// One liveness solve per procedure: DCE's last round is exact
-		// for the code it leaves, and the allocator consumes it. The
-		// clone is the only defensive copy on the whole pipeline.
-		in := p.Clone()
-		tm.Mark(&own, alloc.PhaseOther)
-		var lv *dataflow.Liveness
-		if ps.DCE {
-			lv, _ = w.sc.DeadCodeElim(in, &w.df, &tm, &own)
-		} else {
-			in.Renumber()
-			lv = w.df.Compute(in)
-			tm.Mark(&own, alloc.PhaseDataflow)
-		}
-		res, err = oa.AllocateOwned(in, lv)
+	// One liveness solve per procedure: DCE's last round is exact for
+	// the code it leaves, and the allocator consumes it. The clone is
+	// the only defensive copy on the whole pipeline.
+	in := p.Clone()
+	tm.Mark(&own, alloc.PhaseOther)
+	var lv *dataflow.Liveness
+	if ps.DCE {
+		lv, _ = w.sc.DeadCodeElim(in, &w.df, &tm, &own)
 	} else {
-		in := p
-		if ps.DCE {
-			in = p.Clone()
-			tm.Mark(&own, alloc.PhaseOther)
-			w.sc.DeadCodeElim(in, &w.df, &tm, &own)
-		}
-		res, err = w.A.Allocate(in)
+		in.Renumber()
+		lv = w.df.Compute(in)
+		tm.Mark(&own, alloc.PhaseDataflow)
 	}
+	res, err := alloc.Run(w.A, mach, in, lv, &tm)
 	if err != nil {
 		return nil, err
-	}
-	if res.Stats.Phases.TotalNs() > 0 {
-		tm.Skip() // the allocator timed its own phases
-	} else {
-		// An external allocator with no phase instrumentation of its
-		// own: charge its whole span to the scan phase rather than
-		// dropping it, so phase shares stay meaningful.
-		tm.Mark(&own, alloc.PhaseScan)
 	}
 	if ps.Verify {
 		if err := verify.Verify(res.Proc, mach); err != nil {

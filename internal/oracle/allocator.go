@@ -1,9 +1,6 @@
 package oracle
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/alloc"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
@@ -17,10 +14,9 @@ import (
 // lose the optimality proof — so the oracle can sit in the full
 // conformance grid without a size carve-out.
 type Allocator struct {
-	mach          *target.Machine
-	lim           Limits
-	profile       *Profile
-	profileAllocs bool
+	mach    *target.Machine
+	lim     Limits
+	profile *Profile
 }
 
 // New returns an oracle allocator with DefaultLimits and static
@@ -44,45 +40,22 @@ func (a *Allocator) SetLimits(lim Limits) { a.lim = lim }
 // treated as never executed (all weights zero).
 func (a *Allocator) SetProfile(pf *Profile) { a.profile = pf }
 
-// SetPhaseProfile toggles heap-allocation sampling at phase boundaries.
-func (a *Allocator) SetPhaseProfile(on bool) { a.profileAllocs = on }
-
 var _ alloc.Allocator = (*Allocator)(nil)
-var _ alloc.OwnedAllocator = (*Allocator)(nil)
 
-// Allocate clones p and allocates the clone.
-func (a *Allocator) Allocate(orig *ir.Proc) (*alloc.Result, error) {
-	return alloc.AllocateClone(a, orig, nil, a.profileAllocs)
-}
-
-// AllocateOwned allocates a procedure the caller owns: p is rewritten
-// in place and must not be used afterwards. lv is the caller's liveness
-// of p (see alloc.OwnedAllocator).
-func (a *Allocator) AllocateOwned(p *ir.Proc, lv *dataflow.Liveness) (*alloc.Result, error) {
+// Allocate plans p's assignment and rewrites p in place (see
+// alloc.Allocator).
+func (a *Allocator) Allocate(p *ir.Proc, lv *dataflow.Liveness, tm *alloc.Timer) (*alloc.Result, error) {
 	res := &alloc.Result{Proc: p}
-	tm := alloc.NewTimer(a.profileAllocs)
-	start := time.Now()
-
 	plan := planProc(p, lv, a.mach, a.profile.FreqFunc(p.Name), a.lim)
 	tm.Mark(&res.Stats, alloc.PhaseScan)
-
-	res.Stats.Candidates = p.NumTemps()
 	res.Stats.Rounds = int(plan.Nodes)
 
 	asn := alloc.NewAssignment(p)
 	copy(asn.Reg, plan.Assign)
-	usedCallee := make([]bool, a.mach.NumRegs())
+	res.CalleeSaved = make([]bool, a.mach.NumRegs())
 	frame := alloc.NewFrame(p)
-	alloc.RewriteAssigned(p, a.mach, asn, frame, alloc.PickScratch(a.mach), usedCallee)
-	tm.Mark(&res.Stats, alloc.PhaseMoves)
-	res.Stats.UsedCalleeSaved = alloc.InsertCalleeSaves(p, a.mach, usedCallee)
-	res.Stats.AllocTime = time.Since(start)
+	alloc.RewriteAssigned(p, a.mach, asn, frame, alloc.PickScratch(a.mach), res.CalleeSaved)
 	res.Stats.SpilledTemps = frame.NumSpilled()
-	p.Renumber()
-	res.Stats.Inserted = alloc.CountInserted(p)
-	if err := alloc.CheckNoTemps(p); err != nil {
-		return nil, fmt.Errorf("%s: %w", a.Name(), err)
-	}
-	tm.Mark(&res.Stats, alloc.PhaseOther)
+	tm.Mark(&res.Stats, alloc.PhaseMoves)
 	return res, nil
 }

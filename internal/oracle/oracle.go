@@ -37,7 +37,6 @@ import (
 	"sort"
 
 	"repro/internal/alloc"
-	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/lifetime"
@@ -158,10 +157,8 @@ func overlap(a, b []lifetime.Segment) bool {
 
 // planProc computes the minimum-spill-cost whole-lifetime assignment
 // for p under the given block-frequency function. p must be
-// Renumber()ed and lv must be its liveness; p is mutated (loop depths),
-// so callers pass owned clones.
+// Renumber()ed with its loop depths set, and lv must be its liveness.
 func planProc(p *ir.Proc, lv *dataflow.Liveness, mach *target.Machine, freq func(*ir.Block) int64, lim Limits) *Plan {
-	cfg.ComputeLoopDepths(p)
 	lt := lifetime.Compute(p, lv)
 	rb := lifetime.ComputeRegBusy(p, mach)
 	w := spillWeights(p, freq)

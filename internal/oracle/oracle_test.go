@@ -26,9 +26,10 @@ type bruteItem struct {
 }
 
 // planFresh is planProc on a procedure with no liveness yet: it
-// renumbers p and solves its liveness first.
+// renumbers p, sets its loop depths and solves its liveness first.
 func planFresh(p *ir.Proc, mach *target.Machine, freq func(*ir.Block) int64, lim Limits) *Plan {
 	p.Renumber()
+	cfg.ComputeLoopDepths(p)
 	return planProc(p, dataflow.Compute(p), mach, freq, lim)
 }
 

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"repro/internal/cfg"
 	"repro/internal/ir"
 	"repro/internal/opt"
 	"repro/internal/target"
@@ -59,7 +60,7 @@ func (pf *Profile) FreqFunc(proc string) func(*ir.Block) int64 {
 // OptimalCost computes the proven minimum total dynamic spill overhead
 // of prog under the profile, replicating the front of the per-procedure
 // pipeline (opt.Worker.Allocate: clone, then dead-code elimination,
-// then allocation) so the optimum is commensurable with what the
+// then loop depths and allocation) so the optimum is commensurable with what the
 // engine and experiments.Pipeline actually emit and execute.
 // proven is false if any procedure's search exceeded lim; the returned
 // cost is then only an upper bound (the best incumbent found).
@@ -68,6 +69,7 @@ func OptimalCost(prog *ir.Program, mach *target.Machine, pf *Profile, lim Limits
 	for _, p := range prog.Procs {
 		in := p.Clone()
 		lv, _ := opt.DeadCodeElim(in)
+		cfg.ComputeLoopDepths(in)
 		plan := planProc(in, lv, mach, pf.FreqFunc(p.Name), lim)
 		cost += plan.Cost
 		if !plan.Proven {

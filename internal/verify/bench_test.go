@@ -19,7 +19,7 @@ func allocated(b *testing.B, prog *ir.Program, mach *target.Machine) []*ir.Proc 
 	for _, p := range prog.Procs {
 		in := p.Clone()
 		opt.DeadCodeElim(in)
-		res, err := f(mach).Allocate(in)
+		res, err := alloc.AllocateClone(f(mach), mach, in, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -149,7 +149,7 @@ func TestDenseMatchesReference(t *testing.T) {
 					for _, src := range prog.Procs {
 						in := src.Clone()
 						opt.DeadCodeElim(in)
-						res, err := f(mach).Allocate(in)
+						res, err := alloc.AllocateClone(f(mach), mach, in, nil)
 						if err != nil {
 							t.Fatalf("%s/%s/%s/%d: %v", algo, machName, profile, seed, err)
 						}

@@ -86,24 +86,22 @@ type (
 	// PhaseSample is one phase's accumulated wall time and (under
 	// WithPhaseProfile) heap-allocation counters.
 	PhaseSample = alloc.PhaseSample
-	// Allocator is the common allocator interface.
+	// Allocator is the one allocator interface. The engine calls
+	// Allocate(p, lv, tm) once per procedure with a clone it owns,
+	// through dead-code elimination (unless WithDCE(false)),
+	// Renumber()ed and with loop depths set; lv is p's liveness in that
+	// numbering and tm the engine's phase timer. The allocator rewrites p in place, reports
+	// the callee-saved registers it used in Result.CalleeSaved, and the
+	// engine inserts their saves and restores, counts the inserted code
+	// and checks that no temporary survived.
 	Allocator = alloc.Allocator
-	// OwnedAllocator is the optional in-place fast path an Allocator
-	// can implement to skip the engine's defensive clone and liveness
-	// solve: AllocateOwned(p, lv) takes ownership of p, which the engine
-	// has already Renumber()ed, together with lv, p's liveness in that
-	// numbering. The allocator may read lv during the call but must not
-	// retain it. An allocator still implementing the older
-	// AllocateOwned(p) signature does not satisfy this interface and is
-	// driven through Allocate instead.
-	OwnedAllocator = alloc.OwnedAllocator
-	// Liveness is the per-procedure liveness an OwnedAllocator receives:
+	// Liveness is the per-procedure liveness an Allocator receives:
 	// live-in and live-out sets over the procedure's cross-block
-	// temporaries (see ComputeLiveness).
+	// temporaries.
 	Liveness = dataflow.Liveness
-	// PhaseProfiler is the optional interface through which the engine
-	// enables per-phase allocation sampling (WithPhaseProfile).
-	PhaseProfiler = alloc.PhaseProfiler
+	// Timer is the phase timer an Allocator receives. An allocator may
+	// ignore it; its whole span is then charged to the scan phase.
+	Timer = alloc.Timer
 
 	// BinpackOptions configures the binpacking allocator (the paper's
 	// §2 knobs: move optimization, early second chance, strict-linear
@@ -132,12 +130,6 @@ var (
 	ImmOp  = ir.ImmOp
 	FImmOp = ir.FImmOp
 )
-
-// ComputeLiveness solves liveness for p with fresh storage, in the form
-// the engine hands to OwnedAllocator.AllocateOwned. p must have been
-// Renumber()ed. An OwnedAllocator's Allocate can use it to clone,
-// renumber and analyze its input before delegating to AllocateOwned.
-func ComputeLiveness(p *Proc) *Liveness { return dataflow.Compute(p) }
 
 // Alpha returns the Alpha-like machine used by the paper's experiments.
 func Alpha() *Machine { return target.Alpha() }
